@@ -1,7 +1,7 @@
 //! Microbenchmarks of the graph substrate itself: snapshot construction
 //! and batched structure adjustment (the paper quotes ~850 ms to adjust a
-//! 1B-edge graph by 10K mutations, §4.1 — this measures our two-pass
-//! scheme at miniature scale).
+//! 1B-edge graph by 10K mutations, §4.1 — this measures the chunked
+//! copy-on-write snapshot update at miniature scale).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -36,22 +36,6 @@ fn benches(c: &mut Criterion) {
             BenchmarkId::new("apply_batch_rebuild", size),
             &batch,
             |b, batch| b.iter(|| g0.apply(batch).expect("batch validates")),
-        );
-        // The §4.1 STINGER-style alternative: in-place edge blocks.
-        let dynamic = graphbolt_graph::DynamicGraph::from_snapshot(&g0);
-        group.bench_with_input(
-            BenchmarkId::new("apply_batch_in_place", size),
-            &batch,
-            |b, batch| {
-                b.iter_batched(
-                    || dynamic.clone(),
-                    |mut d| {
-                        d.apply(batch).expect("batch validates");
-                        d
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
-            },
         );
     }
     group.finish();

@@ -420,11 +420,11 @@ impl<A: Algorithm> StreamingEngine<A> {
         m.batches_applied.inc();
         m.mutations_applied.add(mutations as u64);
         m.batch_refine_ns.record_duration(report.duration);
-        self.publish_work_telemetry(spent);
+        let store_bytes = self.publish_work_telemetry(spent);
         // lint:allow(panic-reachability) — false edge: `.set` here is
         // the telemetry `Gauge::set` (atomic store), which name-based
         // resolution confuses with `DependencyStore::set`.
-        m.store_bytes.set(self.dependency_memory_bytes() as u64);
+        m.store_bytes.set(store_bytes as u64);
         trace::emit(|| TraceEvent::BatchApplied {
             mutations,
             nanos: telemetry::saturating_nanos(report.duration),
@@ -432,28 +432,36 @@ impl<A: Algorithm> StreamingEngine<A> {
         });
     }
 
-    /// Publishes a work-counter delta plus the current footprint gauges.
-    fn publish_work_telemetry(&self, spent: StatsSnapshot) {
+    /// Publishes a work-counter delta plus the current footprint gauges,
+    /// returning the store's byte footprint so the caller can publish it
+    /// again without another walk over the store.
+    fn publish_work_telemetry(&self, spent: StatsSnapshot) -> usize {
         let m = telemetry::metrics();
         m.edge_computations.add(spent.edge_computations);
         m.vertex_computations.add(spent.vertex_computations);
         m.iterations.add(spent.iterations);
+        let (bytes, entries) = self.store_footprint();
         // lint:allow(panic-reachability) — false edges: the `.set` calls
         // below are telemetry `Gauge::set` (atomic stores), which
         // name-based resolution confuses with `DependencyStore::set`.
-        m.dependency_store_bytes
-            .set(self.dependency_memory_bytes() as u64);
-        m.stored_aggregations.set(self.stored_aggregations() as u64);
+        m.dependency_store_bytes.set(bytes as u64);
+        m.stored_aggregations.set(entries as u64);
         m.degrade_level.set(u64::from(self.degrade.index()));
+        bytes
+    }
+
+    /// `(dependency_memory_bytes, stored_aggregations)` from one walk
+    /// over the store.
+    fn store_footprint(&self) -> (usize, usize) {
+        self.state.as_ref().map_or((0, 0), |s| {
+            s.store.footprint(|a| agg_total_bytes(&self.alg, a))
+        })
     }
 
     /// Estimated bytes of dependency information currently tracked — the
     /// *memory overhead* of GraphBolt relative to GB-Reset (Table 9).
     pub fn dependency_memory_bytes(&self) -> usize {
-        match &self.state {
-            Some(s) => s.store.memory_bytes(|a| agg_total_bytes(&self.alg, a)),
-            None => 0,
-        }
+        self.store_footprint().0
     }
 
     /// Number of aggregation values physically stored (post-pruning).

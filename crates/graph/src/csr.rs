@@ -1,35 +1,218 @@
-//! Compressed sparse row adjacency index.
+//! Chunked, copy-on-write compressed sparse row adjacency index.
 //!
 //! A single [`Adjacency`] stores one direction of a graph (out-edges for
 //! CSR, in-edges for CSC). The GraphBolt snapshot keeps one of each so the
 //! execution engine can switch between push (source-indexed) and pull
 //! (destination-indexed) traversal, which is the backbone of Ligra-style
 //! direction optimization (§4.1 of the paper).
+//!
+//! # Layout
+//!
+//! The vertex id space is cut into fixed ranges of `CHUNK_VERTICES` (1024)
+//! ids. Each range is one immutable chunk — its own CSR `offsets`,
+//! `targets` and `weights` — held behind an `Arc`. The last chunk also
+//! spans `CHUNK_VERTICES` ids; those at or past the vertex count have
+//! empty slices.
+//!
+//! Applying a batch of edge updates clones the chunk pointer vector and
+//! rebuilds only the chunks that hold a changed vertex (growing the vertex
+//! space adds empty chunks past the old last one). Every other chunk is
+//! the *same allocation* in the old and the new index. This is the
+//! sharing invariant refinement relies on: it reads the old snapshot while
+//! the new one is live, and an untouched chunk costs neither snapshot a
+//! copy. A one-edge batch therefore costs one chunk rebuild per direction
+//! plus `|V| / CHUNK_VERTICES` pointer clones, instead of the full
+//! two-pass copy of both arrays.
+
+use std::sync::Arc;
 
 use crate::types::{Edge, VertexId, Weight};
 
-/// One-directional compressed adjacency: per-vertex contiguous, sorted
-/// neighbor slices.
+/// Vertices per adjacency chunk.
 ///
-/// Neighbors of each vertex are kept sorted by id, enabling `O(log d)`
-/// membership queries ([`Adjacency::has_edge`]) and linear-time sorted set
-/// intersection, which Triangle Counting relies on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Adjacency {
-    /// `offsets[v]..offsets[v + 1]` is the slice of `v`'s neighbors.
-    offsets: Vec<usize>,
+/// Equal to the engine's dense `edge_map` chunk width, so a pull chunk
+/// reads exactly one adjacency chunk.
+pub(crate) const CHUNK_VERTICES: usize = 1024;
+
+const CHUNK_SHIFT: u32 = CHUNK_VERTICES.trailing_zeros();
+const CHUNK_MASK: usize = CHUNK_VERTICES - 1;
+
+/// One change to a vertex's neighbor list, as consumed by
+/// `Adjacency::apply_updates`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EdgeUpdate {
+    /// The vertex whose slice changes.
+    pub vertex: VertexId,
+    /// The neighbor inserted or removed.
+    pub target: VertexId,
+    /// `None` removes the edge to `target`; `Some(w)` inserts it.
+    pub weight: Option<Weight>,
+}
+
+/// A fixed vertex range of an [`Adjacency`] in plain CSR form, with
+/// offsets local to the chunk.
+///
+/// Every chunk spans `CHUNK_VERTICES` ids, also the last one: ids at or
+/// past the graph's vertex count have empty slices, so growing the
+/// vertex space inside a chunk leaves the chunk as it is. The offsets are
+/// a fixed-size array so a lookup takes no bounds check beyond the
+/// chunk's own index.
+#[derive(Debug, PartialEq)]
+struct Chunk {
+    /// `offsets[i]..offsets[i + 1]` is the slice of the chunk's `i`-th
+    /// vertex.
+    offsets: [usize; CHUNK_VERTICES + 1],
     /// Flattened neighbor ids, sorted within each vertex slice.
     targets: Vec<VertexId>,
     /// Weight parallel to `targets`.
     weights: Vec<Weight>,
 }
 
+impl Chunk {
+    fn empty() -> Self {
+        Self::with_capacity(0)
+    }
+
+    fn with_capacity(edges: usize) -> Self {
+        Self {
+            offsets: [0; CHUNK_VERTICES + 1],
+            targets: Vec::with_capacity(edges),
+            weights: Vec::with_capacity(edges),
+        }
+    }
+
+    /// Appends `old`'s local vertices `lo..hi` unchanged. The vertices
+    /// before `lo` must already be written.
+    fn copy_run(&mut self, old: &Chunk, lo: usize, hi: usize) {
+        let (elo, ehi) = (old.offsets[lo], old.offsets[hi]);
+        let base = self.targets.len();
+        for (new, &o) in self.offsets[lo + 1..=hi]
+            .iter_mut()
+            .zip(&old.offsets[lo + 1..=hi])
+        {
+            *new = o - elo + base;
+        }
+        self.targets.extend_from_slice(&old.targets[elo..ehi]);
+        self.weights.extend_from_slice(&old.weights[elo..ehi]);
+    }
+
+    /// This chunk with `updates` applied. `updates` must be sorted by
+    /// `(vertex, target, is insertion)` and all fall inside the chunk,
+    /// whose first vertex id is `base`.
+    fn rebuilt(&self, base: usize, updates: &[EdgeUpdate]) -> Chunk {
+        let inserted = updates.iter().filter(|u| u.weight.is_some()).count();
+        let mut next = Chunk::with_capacity(self.targets.len() + inserted);
+        let mut done = 0;
+        let mut rest = updates;
+        while let Some(first) = rest.first() {
+            let v = first.vertex;
+            let local = v as usize - base;
+            let run = rest.partition_point(|u| u.vertex == v);
+            next.copy_run(self, done, local);
+            let (lo, hi) = (self.offsets[local], self.offsets[local + 1]);
+            next.merge_vertex(&self.targets[lo..hi], &self.weights[lo..hi], &rest[..run]);
+            next.offsets[local + 1] = next.targets.len();
+            done = local + 1;
+            rest = &rest[run..];
+        }
+        next.copy_run(self, done, CHUNK_VERTICES);
+        next
+    }
+
+    /// Appends one vertex's slice: its old sorted slice
+    /// `targets`/`weights` with `updates` (sorted by target, removal
+    /// before insertion) merged in. Removing an absent target is a no-op.
+    fn merge_vertex(&mut self, targets: &[VertexId], weights: &[Weight], updates: &[EdgeUpdate]) {
+        let mut i = 0;
+        for u in updates {
+            let j = i + targets[i..].partition_point(|&t| t < u.target);
+            self.targets.extend_from_slice(&targets[i..j]);
+            self.weights.extend_from_slice(&weights[i..j]);
+            i = j;
+            match u.weight {
+                None if targets.get(i) == Some(&u.target) => i += 1,
+                None => {}
+                Some(w) => {
+                    self.targets.push(u.target);
+                    self.weights.push(w);
+                }
+            }
+        }
+        self.targets.extend_from_slice(&targets[i..]);
+        self.weights.extend_from_slice(&weights[i..]);
+    }
+
+    /// Sorts every vertex slice by neighbor id and collapses each run of
+    /// parallel edges to one carrying the weight of the last in the run
+    /// (the sort is stable, so "last" is input order). Later slices move
+    /// down to close the gaps.
+    fn sort_dedup_slices(&mut self) {
+        let mut pairs: Vec<(VertexId, Weight)> = Vec::new();
+        let mut lo = 0;
+        for v in 0..CHUNK_VERTICES {
+            // `offsets[v]` already holds the compacted start of `v`;
+            // `lo..hi` is still its slice as scattered.
+            let (start, hi) = (self.offsets[v], self.offsets[v + 1]);
+            pairs.clear();
+            pairs.extend(
+                self.targets[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(self.weights[lo..hi].iter().copied()),
+            );
+            pairs.sort_by_key(|&(t, _)| t);
+            pairs.dedup_by(|later, kept| {
+                let parallel = later.0 == kept.0;
+                if parallel {
+                    kept.1 = later.1;
+                }
+                parallel
+            });
+            for (i, &(t, w)) in pairs.iter().enumerate() {
+                self.targets[start + i] = t;
+                self.weights[start + i] = w;
+            }
+            self.offsets[v + 1] = start + pairs.len();
+            lo = hi;
+        }
+        let len = self.offsets[CHUNK_VERTICES];
+        self.targets.truncate(len);
+        self.weights.truncate(len);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.offsets)
+            + self.targets.len() * std::mem::size_of::<VertexId>()
+            + self.weights.len() * std::mem::size_of::<Weight>()
+    }
+}
+
+/// One-directional compressed adjacency: per-vertex contiguous, sorted
+/// neighbor slices, stored in copy-on-write chunks of
+/// `CHUNK_VERTICES` vertices (see the module docs).
+///
+/// Neighbors of each vertex are kept sorted by id, enabling `O(log d)`
+/// membership queries ([`Adjacency::has_edge`]) and linear-time sorted set
+/// intersection, which Triangle Counting relies on.
+///
+/// Per-vertex accessors take an id below [`Adjacency::num_vertices`].
+/// A larger id panics, except in release builds when it falls inside the
+/// last chunk's unused tail, where it reads as an isolated vertex.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Adjacency {
+    /// Chunk `c` covers vertex ids `c * CHUNK_VERTICES ..`.
+    chunks: Vec<Arc<Chunk>>,
+    num_vertices: usize,
+    num_edges: usize,
+}
+
 impl Adjacency {
     /// Builds an adjacency index from `(vertex, neighbor, weight)` triples.
     ///
-    /// `edges` does not need to be sorted; duplicates are kept (callers
-    /// that need simple graphs deduplicate before building). `n` is the
-    /// number of vertices and must exceed every id appearing in `edges`.
+    /// `edges` does not need to be sorted. Parallel edges collapse to one
+    /// that carries the weight of the last of them in `edges` order. `n`
+    /// is the number of vertices and must exceed every id appearing in
+    /// `edges`.
     ///
     /// # Panics
     ///
@@ -37,7 +220,7 @@ impl Adjacency {
     /// that silently drops edges would corrupt downstream dependency
     /// tracking, so this is a programming error.
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
-        let mut degrees = vec![0usize; n];
+        let mut fill = vec![0usize; n];
         for e in edges {
             assert!(
                 (e.src as usize) < n,
@@ -51,98 +234,105 @@ impl Adjacency {
                 e.dst,
                 n
             );
-            degrees[e.src as usize] += 1;
+            fill[e.src as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &degrees {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut targets = vec![0 as VertexId; edges.len()];
-        let mut weights = vec![0.0; edges.len()];
-        let mut cursor = offsets[..n].to_vec();
+        let mut chunks: Vec<Chunk> = fill
+            .chunks(CHUNK_VERTICES)
+            .map(|degrees| {
+                let mut chunk = Chunk::empty();
+                let mut acc = 0usize;
+                for (i, d) in degrees.iter().enumerate() {
+                    acc += d;
+                    chunk.offsets[i + 1] = acc;
+                }
+                chunk.offsets[degrees.len() + 1..].fill(acc);
+                chunk.targets = vec![0; acc];
+                chunk.weights = vec![0.0; acc];
+                chunk
+            })
+            .collect();
+        fill.fill(0);
         for e in edges {
-            let slot = cursor[e.src as usize];
-            targets[slot] = e.dst;
-            weights[slot] = e.weight;
-            cursor[e.src as usize] += 1;
+            let v = e.src as usize;
+            let chunk = &mut chunks[v >> CHUNK_SHIFT];
+            let slot = chunk.offsets[v & CHUNK_MASK] + fill[v];
+            chunk.targets[slot] = e.dst;
+            chunk.weights[slot] = e.weight;
+            fill[v] += 1;
         }
-        let mut adj = Self {
-            offsets,
-            targets,
-            weights,
-        };
-        adj.sort_slices();
-        adj
+        for chunk in &mut chunks {
+            chunk.sort_dedup_slices();
+        }
+        Self {
+            num_edges: chunks.iter().map(|c| c.targets.len()).sum(),
+            chunks: chunks.into_iter().map(Arc::new).collect(),
+            num_vertices: n,
+        }
     }
 
     /// Creates an empty adjacency over `n` vertices.
     pub fn empty(n: usize) -> Self {
-        Self {
-            offsets: vec![0; n + 1],
-            targets: Vec::new(),
-            weights: Vec::new(),
-        }
+        Self::from_edges(n, &[])
     }
 
-    fn sort_slices(&mut self) {
-        let n = self.num_vertices();
-        for v in 0..n {
-            let (lo, hi) = (self.offsets[v], self.offsets[v + 1]);
-            if hi - lo > 1 {
-                let mut pairs: Vec<(VertexId, Weight)> = self.targets[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(self.weights[lo..hi].iter().copied())
-                    .collect();
-                pairs.sort_by_key(|&(t, _)| t);
-                for (i, (t, w)) in pairs.into_iter().enumerate() {
-                    self.targets[lo + i] = t;
-                    self.weights[lo + i] = w;
-                }
-            }
-        }
+    /// The chunk holding `v` and the bounds of `v`'s slice within it.
+    #[inline]
+    fn locate(&self, v: VertexId) -> (&Chunk, usize, usize) {
+        let v = v as usize;
+        // Release builds catch ids past the last chunk through the
+        // index below; ids in the last chunk's unused tail read as
+        // isolated vertices there.
+        debug_assert!(
+            v < self.num_vertices,
+            "vertex {v} out of bounds (n = {})",
+            self.num_vertices
+        );
+        let chunk = &*self.chunks[v >> CHUNK_SHIFT];
+        let i = v & CHUNK_MASK;
+        (chunk, chunk.offsets[i], chunk.offsets[i + 1])
     }
 
     /// Number of vertices indexed.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
+        self.num_vertices
     }
 
     /// Total number of directed edges stored.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.targets.len()
+        self.num_edges
     }
 
     /// Degree of `v` in this direction.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.offsets[v as usize + 1] - self.offsets[v as usize]
+        let (_, lo, hi) = self.locate(v);
+        hi - lo
     }
 
     /// Sorted neighbor ids of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+        let (chunk, lo, hi) = self.locate(v);
+        &chunk.targets[lo..hi]
     }
 
     /// Weights parallel to [`Adjacency::neighbors`].
     #[inline]
     pub fn weights(&self, v: VertexId) -> &[Weight] {
-        &self.weights[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+        let (chunk, lo, hi) = self.locate(v);
+        &chunk.weights[lo..hi]
     }
 
     /// Iterates `(neighbor, weight)` pairs of `v`.
     #[inline]
     pub fn edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        self.neighbors(v)
+        let (chunk, lo, hi) = self.locate(v);
+        chunk.targets[lo..hi]
             .iter()
             .copied()
-            .zip(self.weights(v).iter().copied())
+            .zip(chunk.weights[lo..hi].iter().copied())
     }
 
     /// Returns `true` if the directed edge `v → t` exists.
@@ -160,8 +350,7 @@ impl Adjacency {
         self.neighbors(v).binary_search(&t).is_ok()
     }
 
-    /// Returns the weight of edge `v → t`, if present. When parallel edges
-    /// exist, an arbitrary one of them is reported.
+    /// Returns the weight of edge `v → t`, if present.
     pub fn edge_weight(&self, v: VertexId, t: VertexId) -> Option<Weight> {
         self.neighbors(v)
             .binary_search(&t)
@@ -175,56 +364,53 @@ impl Adjacency {
         self.weights(v).iter().sum()
     }
 
-    /// Applies a batch of per-vertex edge set replacements, producing a new
-    /// index. `changed` maps vertex id to its complete new `(target,
-    /// weight)` list (sorted or not); vertices absent from `changed` keep
-    /// their current slice. `new_n >= self.num_vertices()` grows the vertex
-    /// space.
+    /// Applies edge insertions and removals, producing a new index over
+    /// `new_n >= self.num_vertices()` vertices. `updates` is reordered in
+    /// place; it may list a removal and an insertion of the same edge (a
+    /// reweight), which apply in that order. Removing an absent edge is a
+    /// no-op.
     ///
-    /// This is the two-pass adjustment from §4.1: pass one recomputes
-    /// offsets, pass two copies unchanged slices and writes replaced ones.
-    pub fn rebuild_with(
-        &self,
-        new_n: usize,
-        changed: &std::collections::HashMap<VertexId, Vec<(VertexId, Weight)>>,
-    ) -> Self {
-        assert!(new_n >= self.num_vertices());
-        let mut offsets = Vec::with_capacity(new_n + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
-        for v in 0..new_n {
-            let d = match changed.get(&(v as VertexId)) {
-                Some(list) => list.len(),
-                None if v < self.num_vertices() => self.degree(v as VertexId),
-                None => 0,
-            };
-            acc += d;
-            offsets.push(acc);
+    /// Only the chunks holding an updated vertex are rebuilt; within
+    /// them, untouched vertex runs are copied in bulk. Every other chunk
+    /// is shared with `self`.
+    pub(crate) fn apply_updates(&self, new_n: usize, updates: &mut [EdgeUpdate]) -> Self {
+        assert!(
+            new_n >= self.num_vertices,
+            "vertex space cannot shrink ({} -> {new_n})",
+            self.num_vertices
+        );
+        updates.sort_unstable_by_key(|u| (u.vertex, u.target, u.weight.is_some()));
+        if let Some(last) = updates.last() {
+            assert!(
+                (last.vertex as usize) < new_n,
+                "updated vertex {} out of bounds (n = {new_n})",
+                last.vertex
+            );
         }
-        let mut targets = vec![0 as VertexId; acc];
-        let mut weights = vec![0.0; acc];
-        for (v, &lo) in offsets[..new_n].iter().enumerate() {
-            match changed.get(&(v as VertexId)) {
-                Some(list) => {
-                    let mut list = list.clone();
-                    list.sort_by_key(|&(t, _)| t);
-                    for (i, (t, w)) in list.into_iter().enumerate() {
-                        targets[lo + i] = t;
-                        weights[lo + i] = w;
+        let empty = Chunk::empty();
+        let mut num_edges = self.num_edges;
+        let mut rest = &updates[..];
+        let chunks = (0..new_n.div_ceil(CHUNK_VERTICES))
+            .map(|c| {
+                let base = c * CHUNK_VERTICES;
+                let run = rest.partition_point(|u| (u.vertex as usize) < base + CHUNK_VERTICES);
+                let (mine, later) = rest.split_at(run);
+                rest = later;
+                match self.chunks.get(c) {
+                    Some(old) if mine.is_empty() => Arc::clone(old),
+                    old => {
+                        let old = old.map_or(&empty, |o| &**o);
+                        let next = old.rebuilt(base, mine);
+                        num_edges = num_edges - old.targets.len() + next.targets.len();
+                        Arc::new(next)
                     }
                 }
-                None if v < self.num_vertices() => {
-                    let (slo, shi) = (self.offsets[v], self.offsets[v + 1]);
-                    targets[lo..lo + (shi - slo)].copy_from_slice(&self.targets[slo..shi]);
-                    weights[lo..lo + (shi - slo)].copy_from_slice(&self.weights[slo..shi]);
-                }
-                None => {}
-            }
-        }
+            })
+            .collect();
         Self {
-            offsets,
-            targets,
-            weights,
+            chunks,
+            num_vertices: new_n,
+            num_edges,
         }
     }
 
@@ -239,18 +425,24 @@ impl Adjacency {
         out
     }
 
-    /// Estimated heap footprint in bytes (offsets + targets + weights).
+    /// Estimated heap footprint in bytes: every chunk's offsets, targets
+    /// and weights, plus the chunk pointer vector. A chunk shared with
+    /// another index counts in full in each.
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.targets.len() * std::mem::size_of::<VertexId>()
-            + self.weights.len() * std::mem::size_of::<Weight>()
+        self.chunks.len() * std::mem::size_of::<Arc<Chunk>>()
+            + self.chunks.iter().map(|c| c.memory_bytes()).sum::<usize>()
+    }
+
+    /// Whether chunk `c` is the same allocation in `self` and `other`.
+    #[cfg(test)]
+    pub(crate) fn shares_chunk(&self, other: &Adjacency, c: usize) -> bool {
+        Arc::ptr_eq(&self.chunks[c], &other.chunks[c])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     fn sample() -> Adjacency {
         Adjacency::from_edges(
@@ -298,29 +490,22 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_replaces_only_changed_vertices() {
-        let adj = sample();
-        let mut changed = HashMap::new();
-        changed.insert(0, vec![(3, 9.0)]);
-        changed.insert(1, vec![(0, 1.0), (2, 1.0)]);
-        let next = adj.rebuild_with(4, &changed);
-        assert_eq!(next.neighbors(0), &[3]);
-        assert_eq!(next.weights(0), &[9.0]);
-        assert_eq!(next.neighbors(1), &[0, 2]);
-        assert_eq!(next.neighbors(2), &[3]);
-        assert_eq!(next.neighbors(3), &[0]);
-        assert_eq!(next.num_edges(), 5);
-    }
-
-    #[test]
-    fn rebuild_can_grow_vertex_space() {
-        let adj = sample();
-        let mut changed = HashMap::new();
-        changed.insert(5, vec![(0, 1.0)]);
-        let next = adj.rebuild_with(6, &changed);
-        assert_eq!(next.num_vertices(), 6);
-        assert_eq!(next.neighbors(5), &[0]);
-        assert_eq!(next.degree(4), 0);
+    fn slices_span_chunk_boundaries() {
+        let n = 2 * CHUNK_VERTICES + 3;
+        let last = (n - 1) as VertexId;
+        let edges = [
+            Edge::new(CHUNK_VERTICES as VertexId - 1, 0, 1.0),
+            Edge::new(CHUNK_VERTICES as VertexId, last, 2.0),
+            Edge::new(last, 5, 3.0),
+            Edge::new(last, 1, 4.0),
+        ];
+        let adj = Adjacency::from_edges(n, &edges);
+        assert_eq!(adj.num_vertices(), n);
+        assert_eq!(adj.neighbors(CHUNK_VERTICES as VertexId - 1), &[0]);
+        assert_eq!(adj.neighbors(CHUNK_VERTICES as VertexId), &[last]);
+        assert_eq!(adj.neighbors(last), &[1, 5]);
+        assert_eq!(adj.weights(last), &[4.0, 3.0]);
+        assert_eq!(adj.to_edges().len(), 4);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //!   a directed weighted graph, optimized for both push-style (out-edge)
 //!   and pull-style (in-edge) traversal,
 //! * [`MutationBatch`] / [`GraphSnapshot::apply`] — batched edge/vertex
-//!   insertions and deletions that produce the next snapshot using the
-//!   two-pass adjustment scheme described in §4.1 of the paper,
+//!   insertions and deletions that produce the next snapshot. Both indexes
+//!   are chunked and copy-on-write ([`csr`]), so a batch rebuilds only the
+//!   chunks it touches — the faster structure adjustment §4.1 of the
+//!   paper leaves open — and the old snapshot stays readable,
 //! * [`generators`] — R-MAT, Erdős–Rényi and Chung–Lu graph generators
 //!   used as stand-ins for the paper's web/social graphs,
 //! * [`stream`] — the evaluation-methodology mutation-stream driver
@@ -37,7 +39,6 @@
 
 pub mod builder;
 pub mod csr;
-pub mod dynamic;
 pub mod generators;
 pub mod io;
 pub mod mutation;
@@ -49,7 +50,6 @@ pub mod types;
 
 pub use builder::GraphBuilder;
 pub use csr::Adjacency;
-pub use dynamic::DynamicGraph;
 pub use mutation::{MutationBatch, MutationError};
 pub use reorder::Permutation;
 pub use snapshot::GraphSnapshot;

@@ -1,9 +1,16 @@
 //! Immutable graph snapshots with dual CSR/CSC indexing.
+//!
+//! Both indexes are chunked copy-on-write [`Adjacency`] values (see
+//! [`crate::csr`]). [`GraphSnapshot::apply`] rebuilds only the chunks that
+//! hold an endpoint of a mutated edge; every other chunk is shared, by
+//! pointer, between the old and the new snapshot. Refinement evaluates
+//! old-graph contributions against the old snapshot while the new one is
+//! live, so the sharing keeps both readable at the cost of the touched
+//! chunks alone.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::csr::Adjacency;
+use crate::csr::{Adjacency, EdgeUpdate};
 use crate::mutation::{MutationBatch, MutationError};
 use crate::types::{Edge, VertexId, Weight};
 
@@ -14,10 +21,12 @@ use crate::types::{Edge, VertexId, Weight};
 /// traversal reads the CSR; pull traversal and GraphBolt's re-evaluation of
 /// non-decomposable aggregations read the CSC (§3.3, §4.2 of the paper).
 ///
-/// Snapshots are cheap to share (`Arc` internally is not required — the
-/// engine clones `Arc<GraphSnapshot>`); applying a [`MutationBatch`]
-/// produces a *new* snapshot, leaving the old one readable so refinement
-/// can evaluate "old graph" contributions while the mutated graph is live.
+/// Applying a [`MutationBatch`] produces a *new* snapshot, leaving the old
+/// one readable so refinement can evaluate "old graph" contributions while
+/// the mutated graph is live. The two share every adjacency chunk the
+/// batch did not touch through `Arc`, so cloning a snapshot or keeping the
+/// previous one alive copies no edge data; the engine additionally passes
+/// snapshots around as `Arc<GraphSnapshot>`.
 #[derive(Debug, Clone)]
 pub struct GraphSnapshot {
     out: Adjacency,
@@ -42,20 +51,12 @@ impl GraphSnapshot {
     /// seen — the substrate models simple directed graphs, matching the
     /// paper's inputs.
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
-        let mut dedup: HashMap<(VertexId, VertexId), Weight> = HashMap::with_capacity(edges.len());
-        for e in edges {
-            dedup.insert((e.src, e.dst), e.weight);
-        }
-        let unique: Vec<Edge> = dedup
-            .into_iter()
-            .map(|((s, d), w)| Edge::new(s, d, w))
-            .collect();
-        let out = Adjacency::from_edges(n, &unique);
-        let reversed: Vec<Edge> = unique.iter().map(|e| e.reversed()).collect();
-        let inc = Adjacency::from_edges(n, &reversed);
+        // Both directions keep the last of each parallel run in `edges`
+        // order, so they collapse every duplicate to the same weight.
+        let reversed: Vec<Edge> = edges.iter().map(|e| e.reversed()).collect();
         Self {
-            out,
-            inc,
+            out: Adjacency::from_edges(n, edges),
+            inc: Adjacency::from_edges(n, &reversed),
             version: 0,
         }
     }
@@ -67,12 +68,6 @@ impl GraphSnapshot {
             inc: Adjacency::empty(n),
             version: 0,
         }
-    }
-
-    pub(crate) fn from_parts(out: Adjacency, inc: Adjacency, version: u64) -> Self {
-        debug_assert_eq!(out.num_edges(), inc.num_edges());
-        debug_assert_eq!(out.num_vertices(), inc.num_vertices());
-        Self { out, inc, version }
     }
 
     /// Number of vertices (fixed id space `0..n`).
@@ -187,56 +182,33 @@ impl GraphSnapshot {
             .num_vertices()
             .max(batch.max_vertex_id().map_or(0, |m| m as usize + 1));
 
-        // Pass 1: group mutations by source (CSR) and destination (CSC).
-        let mut out_changed: HashMap<VertexId, Vec<(VertexId, Weight)>> = HashMap::new();
-        let mut in_changed: HashMap<VertexId, Vec<(VertexId, Weight)>> = HashMap::new();
-        let mut touch_out = |v: VertexId, adj: &Adjacency| {
-            out_changed.entry(v).or_insert_with(|| {
-                if (v as usize) < adj.num_vertices() {
-                    adj.edges(v).collect()
-                } else {
-                    Vec::new()
-                }
-            });
+        let updates = batch
+            .deletions()
+            .iter()
+            .map(|e| (e, None))
+            .chain(batch.additions().iter().map(|e| (e, Some(e.weight))));
+        let (mut out, mut inc): (Vec<_>, Vec<_>) = updates
+            .map(|(e, weight)| {
+                let fwd = EdgeUpdate {
+                    vertex: e.src,
+                    target: e.dst,
+                    weight,
+                };
+                let bwd = EdgeUpdate {
+                    vertex: e.dst,
+                    target: e.src,
+                    weight,
+                };
+                (fwd, bwd)
+            })
+            .unzip();
+        let next = GraphSnapshot {
+            out: self.out.apply_updates(new_n, &mut out),
+            inc: self.inc.apply_updates(new_n, &mut inc),
+            version: self.version + 1,
         };
-        let mut touch_in = |v: VertexId, adj: &Adjacency| {
-            in_changed.entry(v).or_insert_with(|| {
-                if (v as usize) < adj.num_vertices() {
-                    adj.edges(v).collect()
-                } else {
-                    Vec::new()
-                }
-            });
-        };
-        for e in batch.additions() {
-            touch_out(e.src, &self.out);
-            touch_in(e.dst, &self.inc);
-        }
-        for e in batch.deletions() {
-            touch_out(e.src, &self.out);
-            touch_in(e.dst, &self.inc);
-        }
-        for e in batch.deletions() {
-            let slot = out_changed.get_mut(&e.src).expect("touched above");
-            slot.retain(|&(t, _)| t != e.dst);
-            let slot = in_changed.get_mut(&e.dst).expect("touched above");
-            slot.retain(|&(t, _)| t != e.src);
-        }
-        for e in batch.additions() {
-            out_changed
-                .get_mut(&e.src)
-                .expect("touched above")
-                .push((e.dst, e.weight));
-            in_changed
-                .get_mut(&e.dst)
-                .expect("touched above")
-                .push((e.src, e.weight));
-        }
-
-        // Pass 2: rebuild both indexes, copying unchanged slices.
-        let out = self.out.rebuild_with(new_n, &out_changed);
-        let inc = self.inc.rebuild_with(new_n, &in_changed);
-        Ok(GraphSnapshot::from_parts(out, inc, self.version + 1))
+        debug_assert_eq!(next.out.num_edges(), next.inc.num_edges());
+        Ok(next)
     }
 
     /// Convenience wrapper returning an `Arc`'d mutated snapshot.
@@ -245,6 +217,12 @@ impl GraphSnapshot {
     }
 
     /// Estimated heap footprint of both indexes, in bytes.
+    ///
+    /// Adjacency chunks shared with other snapshots (every chunk a
+    /// mutation batch did not touch) count in full in each snapshot, so
+    /// the sum over live snapshots overstates their joint footprint; a
+    /// single snapshot's figure equals that of a fresh build of its edge
+    /// set.
     pub fn memory_bytes(&self) -> usize {
         self.out.memory_bytes() + self.inc.memory_bytes()
     }
@@ -271,6 +249,8 @@ impl GraphSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CHUNK_VERTICES;
+    use std::collections::HashMap;
 
     fn diamond() -> GraphSnapshot {
         GraphSnapshot::from_edges(
@@ -370,5 +350,131 @@ mod tests {
         let g2 = g1.apply(&b2).unwrap();
         assert_eq!(g2.version(), 2);
         assert_eq!(g2.num_edges(), g.num_edges());
+    }
+
+    /// Asserts `g` holds exactly the edges of `reference`.
+    fn assert_edge_set(g: &GraphSnapshot, reference: &HashMap<(VertexId, VertexId), Weight>) {
+        assert!(g.check_consistency());
+        assert_eq!(g.num_edges(), reference.len());
+        for (&(s, d), &w) in reference {
+            assert_eq!(g.edge_weight(s, d), Some(w), "edge {s} -> {d}");
+        }
+    }
+
+    /// Applies `batch` to both `g` and the reference edge map, then checks
+    /// the result against the reference, a fresh build and the
+    /// chunk-sharing invariant.
+    fn apply_and_check(
+        g: &GraphSnapshot,
+        reference: &mut HashMap<(VertexId, VertexId), Weight>,
+        batch: &MutationBatch,
+    ) -> GraphSnapshot {
+        let before: Vec<Edge> = g.edges();
+        let next = g.apply(batch).unwrap();
+        for e in batch.deletions() {
+            reference.remove(&e.endpoints());
+        }
+        for e in batch.additions() {
+            reference.insert(e.endpoints(), e.weight);
+        }
+        let n = next.num_vertices();
+        let edges: Vec<Edge> = reference
+            .iter()
+            .map(|(&(s, d), &w)| Edge::new(s, d, w))
+            .collect();
+        assert_eq!(next, GraphSnapshot::from_edges(n, &edges));
+        assert_edge_set(&next, reference);
+        // The old snapshot still reads its own edge set.
+        assert_eq!(g.edges(), before);
+
+        // O(touched): every chunk without a mutated endpoint is the same
+        // allocation in both snapshots; every other chunk is rebuilt.
+        let chunk = |v: VertexId| v as usize / CHUNK_VERTICES;
+        let mutated = || batch.additions().iter().chain(batch.deletions());
+        for c in 0..g.num_vertices().div_ceil(CHUNK_VERTICES) {
+            let out_touched = mutated().any(|e| chunk(e.src) == c);
+            let in_touched = mutated().any(|e| chunk(e.dst) == c);
+            assert_eq!(
+                next.out.shares_chunk(&g.out, c),
+                !out_touched,
+                "csr chunk {c}"
+            );
+            assert_eq!(
+                next.inc.shares_chunk(&g.inc, c),
+                !in_touched,
+                "csc chunk {c}"
+            );
+        }
+        next
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+        /// `apply` over random batch sequences equals a from-scratch
+        /// build of the same edge set and shares every untouched chunk.
+        #[test]
+        fn apply_matches_fresh_build(seed in 0u64..10_000) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let n0 = rng.gen_range(1..3 * CHUNK_VERTICES);
+            let hub = rng.gen_range(0..n0) as VertexId;
+            let mut reference = HashMap::new();
+            // A hub with thousands of out- and in-edges, plus sparse noise.
+            for t in 0..n0 as VertexId {
+                if t != hub && rng.gen_bool(0.9) {
+                    reference.insert((hub, t), rng.gen_range(0.1..2.0));
+                    reference.insert((t, hub), rng.gen_range(0.1..2.0));
+                }
+            }
+            for _ in 0..n0 {
+                let (u, v) = (rng.gen_range(0..n0), rng.gen_range(0..n0));
+                reference.insert((u as VertexId, v as VertexId), 1.0);
+            }
+            // Earlier parallel copies with other weights: the build keeps
+            // the last one.
+            let mut edges: Vec<Edge> = reference
+                .iter()
+                .filter(|_| rng.gen_bool(0.1))
+                .map(|(&(s, d), &w)| Edge::new(s, d, w + 1.0))
+                .collect();
+            edges.extend(reference.iter().map(|(&(s, d), &w)| Edge::new(s, d, w)));
+            let mut g = GraphSnapshot::from_edges(n0, &edges);
+            assert_edge_set(&g, &reference);
+            for _ in 0..6 {
+                let n = g.num_vertices();
+                let mut batch = MutationBatch::new();
+                let present: Vec<Edge> = g.edges();
+                match rng.gen_range(0..4) {
+                    // Empty a vertex (the hub, sometimes).
+                    0 => {
+                        let v = if rng.gen_bool(0.3) { hub } else { rng.gen_range(0..n) as VertexId };
+                        batch.delete_vertex_edges(&g, v);
+                    }
+                    // Grow the vertex space: within the tail chunk, across
+                    // its boundary, or into a fresh chunk further out.
+                    1 => {
+                        let far = n + rng.gen_range(0..2 * CHUNK_VERTICES);
+                        let u = rng.gen_range(0..n) as VertexId;
+                        batch.add(Edge::new(u, far as VertexId, 0.5));
+                    }
+                    _ => {}
+                }
+                for _ in 0..rng.gen_range(0..6) {
+                    let Some(&e) = present.get(rng.gen_range(0..present.len().max(1))) else { break };
+                    if rng.gen_bool(0.5) {
+                        batch.delete(e);
+                    } else {
+                        batch.delete(e).add(Edge::new(e.src, e.dst, e.weight + 1.0));
+                    }
+                }
+                for _ in 0..rng.gen_range(0..6) {
+                    let u = if rng.gen_bool(0.2) { hub } else { rng.gen_range(0..n) as VertexId };
+                    let v = rng.gen_range(0..n) as VertexId;
+                    batch.add(Edge::new(u, v, rng.gen_range(0.1..2.0)));
+                }
+                let batch = batch.normalize_against(&g);
+                g = apply_and_check(&g, &mut reference, &batch);
+            }
+        }
     }
 }
