@@ -28,7 +28,7 @@ use graphbolt_engine::parallel;
 use graphbolt_engine::AtomicBitSet;
 use graphbolt_graph::{GraphSnapshot, VertexId};
 
-use crate::algorithm::Algorithm;
+use crate::algorithm::{agg_total_bytes, Algorithm};
 use crate::options::{EngineOptions, ExecutionMode};
 use crate::sharded::ShardedMut;
 use crate::stats::EngineStats;
@@ -116,6 +116,7 @@ pub fn run_tracking<A: Algorithm>(
     let n = g.num_vertices();
     let cutoff = opts.effective_cutoff();
     let mut store = DependencyStore::new(n, cutoff, opts.vertical_pruning);
+    let size = |a: &A::Agg| agg_total_bytes(alg, a);
     let init: Vec<A::Value> = parallel::par_map(0..n, |v| alg.initial_value(v as VertexId));
     let mut driver = Driver::new(alg, g, init, stats, opts.adaptive_direction);
     let mut changed_at_cutoff = vec![false; n];
@@ -145,7 +146,7 @@ pub fn run_tracking<A: Algorithm>(
         {
             if opts.vertical_pruning {
                 for &v in &driver.touched {
-                    store.record(v as usize, iter, &driver.aggs[v as usize]);
+                    store.record(v as usize, iter, &driver.aggs[v as usize], size);
                 }
                 if iter == 1 {
                     // Iteration 1 touches everything by construction; the
@@ -154,7 +155,7 @@ pub fn run_tracking<A: Algorithm>(
                 }
             } else {
                 for v in 0..n {
-                    store.record(v, iter, &driver.aggs[v]);
+                    store.record(v, iter, &driver.aggs[v], size);
                 }
             }
             // Capture only when the store actually advanced to this

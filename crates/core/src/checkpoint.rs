@@ -14,7 +14,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use graphbolt_graph::GraphSnapshot;
 
-use crate::algorithm::Algorithm;
+use crate::algorithm::{agg_total_bytes, Algorithm};
 use crate::options::EngineOptions;
 use crate::store::DependencyStore;
 use crate::streaming::StreamingEngine;
@@ -326,7 +326,7 @@ impl Checkpoint {
                     return Err(CheckpointError::Format(format!("bad tail tag {other}")));
                 }
             };
-            store.restore_history(v, prefix, tail);
+            store.restore_history(v, prefix, tail, |a| agg_total_bytes(&alg, a));
         }
         store.force_tracked_iterations(tracked);
         Ok(StreamingEngine::from_checkpoint_state(

@@ -12,7 +12,8 @@
 //!
 //! | site                 | probe                  | effect when armed |
 //! |----------------------|------------------------|-------------------|
-//! | `refine::start`      | [`fire_panic`]         | panic mid-refinement |
+//! | `refine::start`      | [`fire_panic`]         | panic before refinement touches state |
+//! | `refine::iteration`  | [`fire_panic`]         | panic after an iteration's apply: store partly written, scratch half-filled |
 //! | `session::ingest`    | [`fire_error`]         | submission rejected |
 //! | `session::deadline`  | [`fire_error`]         | queued command treated as expired |
 //! | `admission::admit`   | [`fire_error`]         | request shed with RetryAfter |

@@ -401,6 +401,34 @@ fn render_value(v: f64) -> String {
     }
 }
 
+/// Status and body of `GET /query?vertex=K`.
+fn vertex_reply(v: usize, value: Option<f64>) -> (&'static str, String) {
+    match value {
+        Some(value) => {
+            let body = format!("{{\"vertex\":{v},\"value\":{}}}", render_value(value));
+            ("200 OK", body)
+        }
+        None => {
+            let body = error_body("not_found", &format!("vertex {v} out of range"));
+            ("404 Not Found", body)
+        }
+    }
+}
+
+/// Body of `GET /query`: every value.
+fn render_values(values: &[f64]) -> String {
+    let mut s = String::with_capacity(values.len() * 8 + 16);
+    s.push_str("{\"values\":[");
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        s.push_str(&render_value(*v));
+    }
+    s.push_str("]}");
+    s
+}
+
 fn serve_one<A>(
     stream: &mut TcpStream,
     shutdown_requested: &WorkCounter,
@@ -651,9 +679,36 @@ fn serve_query<A>(
         respond_retry_after(stream, &err);
         return;
     }
+    let vertex = match request
+        .query_param("vertex")
+        .map(|raw| (raw, raw.parse::<usize>()))
+    {
+        None => None,
+        Some((_, Ok(v))) => Some(v),
+        Some((raw, Err(_))) => {
+            telemetry::span::complete(ctx.trace, "bad_request");
+            respond(
+                stream,
+                "400 Bad Request",
+                "application/json",
+                &[],
+                &error_body("bad_request", &format!("bad vertex `{raw}`")),
+            );
+            return;
+        }
+    };
     let service_start = Instant::now();
-    let values = match session.query_within(ctx.deadline, ctx.trace) {
-        Ok(values) => values,
+    let answer = match vertex {
+        // One vertex: the worker copies out one value, not all |V|.
+        Some(v) => session
+            .query_vertex_within(v, ctx.deadline, ctx.trace)
+            .map(|value| vertex_reply(v, value)),
+        None => session
+            .query_within(ctx.deadline, ctx.trace)
+            .map(|values| ("200 OK", render_values(&values))),
+    };
+    let (status, body) = match answer {
+        Ok(reply) => reply,
         Err(err) => {
             telemetry::span::complete(ctx.trace, "session_error");
             respond_session_error(stream, &err);
@@ -664,47 +719,7 @@ fn serve_query<A>(
     // round-trip through the worker, and the tree completes here.
     telemetry::span::child(ctx.trace, "service", service_start, Instant::now());
     telemetry::span::complete(ctx.trace, "ok");
-    let body = match request.query_param("vertex") {
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(v) if v < values.len() => {
-                // bounds: the match guard above checks v < values.len().
-                format!("{{\"vertex\":{v},\"value\":{}}}", render_value(values[v]))
-            }
-            Ok(v) => {
-                respond(
-                    stream,
-                    "404 Not Found",
-                    "application/json",
-                    &[],
-                    &error_body("not_found", &format!("vertex {v} out of range")),
-                );
-                return;
-            }
-            Err(_) => {
-                respond(
-                    stream,
-                    "400 Bad Request",
-                    "application/json",
-                    &[],
-                    &error_body("bad_request", &format!("bad vertex `{raw}`")),
-                );
-                return;
-            }
-        },
-        None => {
-            let mut s = String::with_capacity(values.len() * 8 + 16);
-            s.push_str("{\"values\":[");
-            for (i, v) in values.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&render_value(*v));
-            }
-            s.push_str("]}");
-            s
-        }
-    };
-    respond(stream, "200 OK", "application/json", &[], &body);
+    respond(stream, status, "application/json", &[], &body);
 }
 
 #[cfg(test)]
@@ -791,6 +806,11 @@ mod tests {
 
         let oob = get(addr, "/query?vertex=99");
         assert!(oob.starts_with("HTTP/1.1 404"), "{oob}");
+        assert!(oob.contains("vertex 99 out of range"), "{oob}");
+
+        let bad = get(addr, "/query?vertex=x1");
+        assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
+        assert!(bad.contains("bad vertex `x1`"), "{bad}");
 
         door.shutdown();
         let session = Arc::into_inner(session).expect("sole owner");

@@ -50,7 +50,7 @@ pub use fault::FaultAction;
 pub use frontdoor::{FrontDoor, FrontDoorConfig};
 pub use laws::{check_laws, Law, LawConfig, LawReport, LawSpec, LawViolation, Monotonic, SplitMix64};
 pub use options::{EngineOptions, ExecutionMode};
-pub use refine::{refine, RefineState};
+pub use refine::{refine, RefineScratch, RefineState};
 pub use session::{
     retry_with_backoff, retry_with_backoff_seeded, BackoffSchedule, CheckpointPolicy, DeadLetter,
     SessionConfig, SessionError, SessionOutcome, SessionStats, StreamSession,

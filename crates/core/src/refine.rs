@@ -26,17 +26,29 @@
 //! # Data-structure note
 //!
 //! The per-iteration working sets (touched aggregations, changed-value
-//! pairs, derived-value cache) are dense `Vec<Option<…>>` scratch arrays
-//! paired with touched-lists, not hash maps: refinement's per-edge work
-//! must stay comparable to the plain engine's per-edge work or the
-//! incremental savings evaporate (the C++ GraphBolt uses flat per-vertex
-//! arrays for the same reason).
+//! pairs, derived-value cache) are dense `Vec<Option<…>>` scratch arrays,
+//! and the vertex sets (refined, impacted, structural, added-out) are
+//! bit arrays; each is paired with a touched-list, not a hash map:
+//! refinement's per-edge work must stay comparable to the plain engine's
+//! per-edge work or the incremental savings evaporate (the C++ GraphBolt
+//! uses flat per-vertex arrays for the same reason).
+//!
+//! All of them live in one [`RefineScratch`] owned by the engine and
+//! reused across batches, so a batch pays for the slots it touches, not
+//! for `|V|`: the arrays grow only when the vertex space grows, and every
+//! slot and bit is cleared through the touched-list that filled it.
+//! Between batches **all slots are `None`, all bits are clear and all
+//! touched-lists are empty**.
+//! A panic inside `refine` can break that invariant; the engine's
+//! recovery (`run_initial`, checkpoint restore, every degrade rung)
+//! rebuilds the tracked state together with a fresh scratch, so stale
+//! slots never reach the next batch.
 
 use graphbolt_engine::parallel;
 use graphbolt_engine::AtomicBitSet;
 use graphbolt_graph::{GraphSnapshot, MutationBatch, VertexId};
 
-use crate::algorithm::Algorithm;
+use crate::algorithm::{agg_total_bytes, Algorithm};
 use crate::options::EngineOptions;
 use crate::sharded::ShardedMut;
 use crate::stats::{EngineStats, RefineReport};
@@ -55,21 +67,109 @@ pub struct RefineState<'s, A: Algorithm> {
     /// "Changed at cut-off" bits of the current trajectory (updated in
     /// place — hybrid execution's seed for this and future batches).
     pub changed_at_cutoff: &'s mut Vec<bool>,
+    /// Working memory, reused across batches (see the module's
+    /// data-structure note); clear on entry and left clear on return.
+    pub scratch: &'s mut RefineScratch<A>,
 }
 
-/// Dense scratch pad reused across refinement iterations: `slots[v]`
-/// carries this iteration's entry for `v`, `touched` lists the occupied
-/// slots for O(|touched|) clearing.
+/// The working memory of [`refine`]: per-vertex scratch pads sized to
+/// the vertex space, allocated once per engine and reused by every
+/// batch. A `Default` scratch is empty and grows on first use.
+pub struct RefineScratch<A: Algorithm> {
+    /// `(old value, refined value)` of vertices whose value changed at
+    /// the previous refined iteration.
+    prev_changed: Scratch<(A::Value, A::Value)>,
+    /// This iteration's refined aggregations, stored alongside the old
+    /// trajectory's value (derived once when the slot is first touched).
+    new_aggs: Scratch<(A::Agg, A::Value)>,
+    /// Per-iteration cache of derived `(old, new)` value pairs at the
+    /// previous iteration: deriving applies `∮` (a dense solve for CF),
+    /// so each needed source is derived at most once per iteration.
+    pair_cache: Scratch<(A::Value, A::Value)>,
+    /// Every vertex whose aggregation was refined in any iteration.
+    refined: Marks,
+    /// This iteration's impacted destinations.
+    impacted: Marks,
+    /// Batch sources whose out-edge set mutated (structure-dependent
+    /// algorithms only).
+    structural: Marks,
+    /// Sources with at least one added out-edge: only their ⋃△ loops
+    /// need the per-edge added-set probe.
+    added_out: Marks,
+}
+
+impl<A: Algorithm> Default for RefineScratch<A> {
+    fn default() -> Self {
+        Self {
+            prev_changed: Scratch::default(),
+            new_aggs: Scratch::default(),
+            pair_cache: Scratch::default(),
+            refined: Marks::default(),
+            impacted: Marks::default(),
+            structural: Marks::default(),
+            added_out: Marks::default(),
+        }
+    }
+}
+
+impl<A: Algorithm> RefineScratch<A> {
+    /// Makes room for vertex ids below `n`.
+    fn grow(&mut self, n: usize) {
+        self.prev_changed.grow(n);
+        self.new_aggs.grow(n);
+        self.pair_cache.grow(n);
+        self.refined.grow(n);
+        self.impacted.grow(n);
+        self.structural.grow(n);
+        self.added_out.grow(n);
+    }
+
+    /// Whether every touched-list is empty (the between-batch invariant;
+    /// an O(1) check).
+    fn is_clear(&self) -> bool {
+        self.prev_changed.len() == 0
+            && self.new_aggs.len() == 0
+            && self.pair_cache.len() == 0
+            && self.refined.len() == 0
+            && self.impacted.len() == 0
+            && self.structural.len() == 0
+            && self.added_out.len() == 0
+    }
+
+    /// Restores the between-batch invariant in O(touched slots).
+    fn clear(&mut self) {
+        self.prev_changed.clear();
+        self.new_aggs.clear();
+        self.pair_cache.clear();
+        self.refined.clear();
+        self.impacted.clear();
+        self.structural.clear();
+        self.added_out.clear();
+    }
+}
+
+/// Dense scratch pad reused across refinement iterations and batches:
+/// `slots[v]` carries the current entry for `v`, `touched` lists the
+/// occupied slots for O(|touched|) clearing.
 struct Scratch<T> {
     slots: Vec<Option<T>>,
     touched: Vec<VertexId>,
 }
 
-impl<T> Scratch<T> {
-    fn new(n: usize) -> Self {
+impl<T> Default for Scratch<T> {
+    fn default() -> Self {
         Self {
-            slots: (0..n).map(|_| None).collect(),
+            slots: Vec::new(),
             touched: Vec::new(),
+        }
+    }
+}
+
+impl<T> Scratch<T> {
+    /// Makes room for ids below `n`; new slots are `None`.
+    fn grow(&mut self, n: usize) {
+        if self.slots.len() < n {
+            self.slots.resize_with(n, || None);
         }
     }
 
@@ -114,6 +214,61 @@ impl<T> Scratch<T> {
     }
 }
 
+/// A vertex set for the scratch: one bit per vertex (a 2^18-vertex set
+/// is 32 KiB, so marking and probing stay in cache) plus the list of
+/// members, through which it is cleared.
+#[derive(Default)]
+struct Marks {
+    words: Vec<u64>,
+    touched: Vec<VertexId>,
+}
+
+impl Marks {
+    /// Makes room for ids below `n`; new bits are clear.
+    fn grow(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
+    }
+
+    /// Adds `v` (idempotent).
+    #[inline]
+    fn mark(&mut self, v: VertexId) {
+        let (word, bit) = (v as usize / 64, 1u64 << (v % 64));
+        if self.words[word] & bit == 0 {
+            self.words[word] |= bit;
+            self.touched.push(v);
+        }
+    }
+
+    #[inline]
+    fn contains(&self, v: VertexId) -> bool {
+        self.words[v as usize / 64] & (1u64 << (v % 64)) != 0
+    }
+
+    fn len(&self) -> usize {
+        self.touched.len()
+    }
+
+    fn touched(&self) -> &[VertexId] {
+        &self.touched
+    }
+
+    /// The members in ascending order (sorted in place; clearing does not
+    /// depend on their order).
+    fn sorted_touched(&mut self) -> &[VertexId] {
+        self.touched.sort_unstable();
+        &self.touched
+    }
+
+    fn clear(&mut self) {
+        for v in self.touched.drain(..) {
+            self.words[v as usize / 64] = 0;
+        }
+    }
+}
+
 /// Seeds a refinement slot for vertex `v` at iteration `i`: the working
 /// aggregation starts from the old trajectory's `g_i(v)`, and the old
 /// value `c_i(v)` is derived once (under the old graph's `∮` context).
@@ -154,6 +309,13 @@ pub fn refine<A: Algorithm>(
     // Iterations we can refine against recorded history. The tracking run
     // may have recorded fewer than the cut-off (early convergence).
     let refine_upto = state.store.tracked_iterations().min(cutoff);
+    let scratch = state.scratch;
+    debug_assert!(
+        scratch.is_clear(),
+        "refine scratch not cleared by the previous batch"
+    );
+    scratch.grow(new_n);
+    let size = |a: &A::Agg| agg_total_bytes(alg, a);
 
     // Grow per-vertex state for newly added vertices. Their "old
     // trajectory" is: initial value at iteration 0, ∮(identity) afterwards
@@ -172,34 +334,28 @@ pub fn refine<A: Algorithm>(
     }
 
     // Index the batch: a sorted added-edge list for O(log) membership
-    // probes, and bit-set indexes over endpoints built with concurrent
-    // set (idempotent union — safe to materialize in parallel).
+    // probes, the sorted structural sources, and per-vertex marks for
+    // the ⋃△ loop's O(1) lookups.
     let mut added: Vec<(VertexId, VertexId)> =
         batch.additions().iter().map(|e| e.endpoints()).collect();
     added.sort_unstable();
     added.dedup();
     let adds = batch.additions();
     let dels = batch.deletions();
-    let is_structural = AtomicBitSet::new(new_n);
     let structural_sources: Vec<VertexId> = if alg.source_structure_dependent() {
-        parallel::par_for(0..adds.len() + dels.len(), |k| {
-            let e = if k < adds.len() {
-                &adds[k]
-            } else {
-                &dels[k - adds.len()]
-            };
-            is_structural.set(e.src as usize);
-        });
-        is_structural.to_vec().into_iter().map(|v| v as VertexId).collect()
+        let mut sources: Vec<VertexId> = adds.iter().chain(dels).map(|e| e.src).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        for &u in &sources {
+            scratch.structural.mark(u);
+        }
+        sources
     } else {
         Vec::new()
     };
-    // Sources with at least one added out-edge: only their ⋃△ loops need
-    // the per-edge added-set probe.
-    let has_added_out = AtomicBitSet::new(new_n);
-    parallel::par_for(0..adds.len(), |k| {
-        has_added_out.set(adds[k].src as usize);
-    });
+    for e in adds {
+        scratch.added_out.mark(e.src);
+    }
 
     let identity = alg.identity();
     // Reads `c_i(v)` of the *current* store content; correct for the old
@@ -215,34 +371,23 @@ pub fn refine<A: Algorithm>(
             }
         };
 
-    // `(old value, refined value)` of vertices whose value changed at the
-    // previous refined iteration.
-    let mut prev_changed: Scratch<(A::Value, A::Value)> = Scratch::new(new_n);
-    // This iteration's refined aggregations, stored alongside the old
-    // trajectory's value (derived once when the slot is first touched).
-    let mut new_aggs: Scratch<(A::Agg, A::Value)> = Scratch::new(new_n);
-    // Per-iteration cache of derived `(old, new)` value pairs at the
-    // previous iteration: deriving applies `∮` (a dense solve for CF), so
-    // each needed source is derived at most once per iteration.
-    let mut pair_cache: Scratch<(A::Value, A::Value)> = Scratch::new(new_n);
-    // Every vertex whose aggregation was refined in any iteration.
-    let mut refined: Scratch<()> = Scratch::new(new_n);
-    // Refined-and-changed set at the last tracked iteration (final-value
-    // bookkeeping for the fully-refined path).
-    let mut changed_last: Vec<VertexId> = Vec::new();
     let mut edge_work = 0u64;
 
     // Total tag+propagate+apply time, feeding the adaptive-cut-off cost
     // model's refine-per-iteration estimate after the loop.
     let mut refine_phase_ns: u64 = 0;
     for i in 1..=refine_upto {
-        pair_cache.clear();
+        scratch.pair_cache.clear();
         // Phase timing (DESIGN.md §10): tag = impacted-set derivation +
         // slot seeding, propagate = the union passes, apply = the commit
         // loop. `tag_done` is overwritten at the branch-specific
         // tag/propagate boundary below.
         let iter_start = std::time::Instant::now();
         let tag_done;
+        let prev_changed = &scratch.prev_changed;
+        let pair_cache = &mut scratch.pair_cache;
+        let new_aggs = &mut scratch.new_aggs;
+        let impacted = &mut scratch.impacted;
 
         if alg.decomposable() {
             // ⋃△ sources: changed at i-1, plus structural sources whose
@@ -281,29 +426,19 @@ pub fn refine<A: Algorithm>(
             // the out-neighborhoods of dirty sources. (A dirty source's
             // neighbor reached only through an added edge is an addition
             // dst, so this union equals the set the unions below touch.)
-            let impacted = AtomicBitSet::new(new_n);
-            parallel::par_for(0..adds.len() + dels.len(), |k| {
-                let e = if k < adds.len() {
-                    &adds[k]
-                } else {
-                    &dels[k - adds.len()]
-                };
-                impacted.set(e.dst as usize);
-            });
-            {
-                let dirty_ref = &dirty;
-                parallel::par_for(0..dirty_ref.len(), |k| {
-                    for v in new_g.out_neighbors(dirty_ref[k]) {
-                        impacted.set(*v as usize);
-                    }
-                });
+            for e in adds.iter().chain(dels) {
+                impacted.mark(e.dst);
+            }
+            for &u in &dirty {
+                for &v in new_g.out_neighbors(u) {
+                    impacted.mark(v);
+                }
             }
             // Seed every impacted slot in parallel (store reads + one old
             // value derivation each), then install sequentially — O(|set|)
-            // pointer writes.
-            let targets: Vec<VertexId> =
-                impacted.to_vec().into_iter().map(|v| v as VertexId).collect();
+            // pointer writes. Ascending ids keep store reads local.
             {
+                let targets = impacted.sorted_touched();
                 let store_ref: &DependencyStore<A::Agg> = state.store;
                 let seeded: Vec<(A::Agg, A::Value)> = parallel::par_map(0..targets.len(), |k| {
                     seed_slot(alg, store_ref, targets[k], i, old_g, &identity)
@@ -320,10 +455,9 @@ pub fn refine<A: Algorithm>(
             // once to a striped counter.
             let edge_counter = parallel::StripedCounter::new();
             {
-                let prev_ref = &prev_changed;
-                let cache_ref = &pair_cache;
+                let cache_ref = &*pair_cache;
                 let pair_of = |u: VertexId| -> (A::Value, A::Value) {
-                    match prev_ref.get(u) {
+                    match prev_changed.get(u) {
                         Some(p) => p.clone(),
                         None => cache_ref.get(u).expect("pair pre-derived above").clone(),
                     }
@@ -360,10 +494,12 @@ pub fn refine<A: Algorithm>(
                 // edges.
                 let dirty_ref = &dirty;
                 let added_ref = &added;
+                let structural_marks = &scratch.structural;
+                let added_out = &scratch.added_out;
                 parallel::par_for(0..dirty_ref.len(), |di| {
                     let u = dirty_ref[di];
-                    let structural = is_structural.get(u as usize);
-                    let check_added = has_added_out.get(u as usize);
+                    let structural = structural_marks.contains(u);
+                    let check_added = added_out.contains(u);
                     let (old_u, new_u) = pair_of(u);
                     let mut local = 0u64;
                     for (v, w) in new_g.out_edges(u) {
@@ -403,34 +539,17 @@ pub fn refine<A: Algorithm>(
         } else {
             // Non-decomposable: re-evaluate impacted aggregations from the
             // complete updated input set (§3.3 re-evaluation strategy).
-            // The impacted set is a concurrent bit union materialized in
-            // parallel, then flattened to ids with the blocked parallel
-            // conversion.
-            let target_bits = AtomicBitSet::new(new_n);
-            parallel::par_for(0..adds.len() + dels.len(), |k| {
-                let e = if k < adds.len() {
-                    &adds[k]
-                } else {
-                    &dels[k - adds.len()]
-                };
-                target_bits.set(e.dst as usize);
-            });
-            let prev_touched = prev_changed.touched();
-            parallel::par_for(0..prev_touched.len(), |k| {
-                for v in new_g.out_neighbors(prev_touched[k]) {
-                    target_bits.set(*v as usize);
-                }
-            });
-            {
-                let structural_ref = &structural_sources;
-                parallel::par_for(0..structural_ref.len(), |k| {
-                    for v in new_g.out_neighbors(structural_ref[k]) {
-                        target_bits.set(*v as usize);
-                    }
-                });
+            // The impacted set is the batch destinations plus the
+            // out-neighborhoods of changed and structural sources.
+            for e in adds.iter().chain(dels) {
+                impacted.mark(e.dst);
             }
-            let target_list: Vec<VertexId> =
-                target_bits.to_vec().into_iter().map(|v| v as VertexId).collect();
+            for &u in prev_changed.touched().iter().chain(&structural_sources) {
+                for &v in new_g.out_neighbors(u) {
+                    impacted.mark(v);
+                }
+            }
+            let target_list = impacted.sorted_touched();
             // Derive every needed source value once, in parallel.
             let mut needed: Vec<VertexId> = target_list
                 .iter()
@@ -449,15 +568,14 @@ pub fn refine<A: Algorithm>(
                 }
             }
             tag_done = std::time::Instant::now();
-            let prev_ref = &prev_changed;
-            let cache_ref = &pair_cache;
+            let cache_ref = &*pair_cache;
             let recomputed: Vec<(VertexId, A::Agg, u64)> =
                 parallel::par_map(0..target_list.len(), |ti| {
                     let v = target_list[ti];
                     let mut agg = alg.identity();
                     let mut work = 0u64;
                     for (u, w) in new_g.in_edges(v) {
-                        let cu = match prev_ref.get(u) {
+                        let cu = match prev_changed.get(u) {
                             Some((_, new)) => new,
                             None => &cache_ref.get(u).expect("prefilled above").1,
                         };
@@ -477,25 +595,25 @@ pub fn refine<A: Algorithm>(
                 }
             }
         }
+        impacted.clear();
 
         let propagate_done = std::time::Instant::now();
         // Commit: derive new values, write refined aggregations, and
         // build the next iteration's changed set (the old value was
         // derived when the slot was seeded).
-        let committed: Vec<_> = new_aggs.drain().collect();
-        prev_changed.clear();
-        for (v, (agg, old_c)) in committed {
-            refined.insert(v, ());
+        scratch.prev_changed.clear();
+        stats.add_vertex_computations(2 * scratch.new_aggs.len() as u64);
+        for (v, (agg, old_c)) in scratch.new_aggs.drain() {
+            scratch.refined.mark(v);
             let new_c = alg.compute(v, &agg, new_g);
-            stats.add_vertex_computations(2);
-            state.store.set(v as usize, i, agg);
+            state.store.set(v as usize, i, agg, size);
             if alg.changed(&old_c, &new_c) {
-                prev_changed.insert(v, (old_c, new_c));
+                scratch.prev_changed.insert(v, (old_c, new_c));
             }
         }
-        if i == refine_upto {
-            changed_last = prev_changed.touched().to_vec();
-        }
+        // Mid-refinement fault site: the store holds this iteration's
+        // writes and the scratch is half-filled.
+        crate::fault::fire_panic("refine::iteration");
         stats.add_iteration();
         report.refined_iterations += 1;
 
@@ -536,7 +654,7 @@ pub fn refine<A: Algorithm>(
 
     stats.add_edge_computations(edge_work);
     report.edge_computations = edge_work;
-    report.refined_vertices = refined.len();
+    report.refined_vertices = scratch.refined.len();
     if report.refined_iterations > 0 {
         crate::adaptive_cutoff::cost_model()
             .observe_refine(refine_phase_ns / report.refined_iterations as u64);
@@ -546,15 +664,15 @@ pub fn refine<A: Algorithm>(
     // trajectory, then continue with hybrid execution if iterations remain.
     let total_iters = opts.max_iterations;
     if refine_upto >= total_iters {
-        // Fully refined: apply final-iteration value changes.
+        // Fully refined: apply final-iteration value changes. The changed
+        // set of the last tracked iteration is also the new cut-off
+        // changed set.
         let mut changed_final = 0;
-        for (v, (_, new_c)) in prev_changed.drain() {
+        for (v, (_, new_c)) in scratch.prev_changed.drain() {
             state.vals[v as usize] = new_c.clone();
             state.vals_at_cutoff[v as usize] = new_c;
+            state.changed_at_cutoff[v as usize] = true;
             changed_final += 1;
-        }
-        for v in &changed_last {
-            state.changed_at_cutoff[*v as usize] = true;
         }
         report.changed_final_values = changed_final;
     } else {
@@ -566,7 +684,7 @@ pub fn refine<A: Algorithm>(
         // (a conservative union would otherwise grow monotonically across
         // batches and bloat every future hybrid seed).
         {
-            let refined_ids = refined.touched();
+            let refined_ids = scratch.refined.touched();
             let store_ref: &DependencyStore<A::Agg> = state.store;
             let updates: Vec<(A::Value, bool)> =
                 parallel::par_map(0..refined_ids.len(), |k| {
@@ -613,6 +731,7 @@ pub fn refine<A: Algorithm>(
         }
         report.changed_final_values = changed_final;
     }
+    scratch.clear();
 
     report.duration = start.elapsed();
     report

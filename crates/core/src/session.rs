@@ -70,16 +70,40 @@ enum Command<V> {
     /// Fast path: apply the backlog, then this mutation immediately as a
     /// batch of one — it never waits in the coalescing buffer.
     Singleton(QueuedMutation),
-    /// Apply everything buffered, then reply with the current values
+    /// Apply everything buffered, then answer from the current values
     /// (or shed with `DeadlineExceeded` if the deadline passed first).
     Query {
-        reply: Sender<Result<Vec<V>, SessionError>>,
+        read: QueryRead<V>,
         deadline: Option<Instant>,
         trace: telemetry::TraceCtx,
     },
     /// Apply everything buffered, then reply when done.
     Flush(Sender<()>),
     Shutdown,
+}
+
+/// What a query reads from the worker's values, with its reply channel.
+enum QueryRead<V> {
+    /// A copy of every value.
+    All(Sender<Result<Vec<V>, SessionError>>),
+    /// One vertex's value; `None` past the vertex space.
+    Vertex(usize, Sender<Result<Option<V>, SessionError>>),
+}
+
+impl<V: Clone> QueryRead<V> {
+    /// Replies with the read applied to `values`, or with the error.
+    fn answer(self, values: Result<&[V], SessionError>) {
+        // A caller that gave up waiting has dropped its receiver; the
+        // failed send is that caller's business, not the worker's.
+        match self {
+            Self::All(reply) => {
+                let _ = reply.send(values.map(<[V]>::to_vec));
+            }
+            Self::Vertex(v, reply) => {
+                let _ = reply.send(values.map(|vals| vals.get(v).cloned()));
+            }
+        }
+    }
 }
 
 /// Errors surfaced by session submission and shutdown.
@@ -649,12 +673,52 @@ impl<A: Algorithm + 'static> StreamSession<A> {
         deadline: Option<Instant>,
         trace: telemetry::TraceCtx,
     ) -> Result<Vec<A::Value>, SessionError> {
+        self.query_read(deadline, trace, QueryRead::All)
+    }
+
+    /// Applies everything buffered so far and returns the refined value
+    /// of one vertex — `None` when `vertex` is outside the vertex space.
+    /// Queued FIFO like [`StreamSession::query`], so it observes every
+    /// earlier submission, but it copies one value out of the worker
+    /// instead of all `|V|`.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::WorkerGone`] when the session has died.
+    pub fn query_vertex(&self, vertex: usize) -> Result<Option<A::Value>, SessionError> {
+        self.query_vertex_within(vertex, None, telemetry::TraceCtx::disabled())
+    }
+
+    /// [`StreamSession::query_vertex`] with the deadline semantics of
+    /// [`StreamSession::query_within`].
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::DeadlineExceeded`] on expiry,
+    /// [`SessionError::WorkerGone`] when the session has died.
+    pub fn query_vertex_within(
+        &self,
+        vertex: usize,
+        deadline: Option<Instant>,
+        trace: telemetry::TraceCtx,
+    ) -> Result<Option<A::Value>, SessionError> {
+        self.query_read(deadline, trace, |reply| QueryRead::Vertex(vertex, reply))
+    }
+
+    /// Shared body of the queries: shed an expired deadline before
+    /// enqueue, submit the read, and wait for its reply.
+    fn query_read<T>(
+        &self,
+        deadline: Option<Instant>,
+        trace: telemetry::TraceCtx,
+        read: impl FnOnce(Sender<Result<T, SessionError>>) -> QueryRead<A::Value>,
+    ) -> Result<T, SessionError> {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(Self::shed_before_enqueue(trace));
         }
         let (reply_tx, reply_rx) = channel::bounded(1);
         self.submit(Command::Query {
-            reply: reply_tx,
+            read: read(reply_tx),
             deadline,
             trace,
         })?;
@@ -1001,14 +1065,14 @@ fn worker_loop<A: Algorithm>(
         match cmd {
             Command::Mutate(m) => ws.buffer_mutation(m),
             Command::Singleton(m) => ws.apply_singleton(m, &config),
-            Command::Query { reply, deadline, trace } => {
+            Command::Query { read, deadline, trace } => {
                 if deadline_expired(deadline) {
                     ws.shed_deadline("query");
                     telemetry::span::shed(trace, "deadline_shed");
-                    let _ = reply.send(Err(SessionError::DeadlineExceeded));
+                    read.answer(Err(SessionError::DeadlineExceeded));
                 } else {
                     ws.apply_pending(&config);
-                    let _ = reply.send(Ok(ws.engine.values().to_vec()));
+                    read.answer(Ok(ws.engine.values()));
                 }
             }
             Command::Flush(reply) => {
@@ -1110,6 +1174,26 @@ mod tests {
         for (a, b) in outcome.engine.values().iter().zip(&scratch.vals) {
             assert!((a - b).abs() < 1e-7);
         }
+    }
+
+    #[test]
+    fn vertex_query_reads_one_value_after_prior_submissions() {
+        let session = StreamSession::spawn(engine());
+        let before = session.query_vertex(4).unwrap();
+        session.add(Edge::new(1, 4, 1.0)).unwrap();
+        // FIFO behind the pending mutation: read-your-writes.
+        let one = session.query_vertex(4).unwrap();
+        assert_ne!(one, before, "the new in-edge moves vertex 4");
+        let all = session.query().unwrap();
+        assert_eq!(one.map(f64::to_bits), Some(all[4].to_bits()));
+        assert_eq!(
+            session.query_vertex(all.len()).unwrap(),
+            None,
+            "out of range"
+        );
+        assert_eq!(session.query_vertex(usize::MAX).unwrap(), None);
+        let outcome = session.finish().unwrap();
+        assert!(outcome.engine.graph().has_edge(1, 4));
     }
 
     #[test]

@@ -22,6 +22,22 @@
 //! value as a per-vertex `tail` the first time refinement extends a
 //! prefix: reads past the materialized prefix return the tail, and holes
 //! created by out-of-order extension are filled with it.
+//!
+//! # Footprint accounting
+//!
+//! The store keeps its footprint incrementally: `entries` counts the
+//! aggregation values physically held (prefix entries plus frozen
+//! tails) and `entry_bytes` sums a caller-supplied per-entry sizer over
+//! them. Every method that adds, overwrites or drops a value —
+//! [`DependencyStore::record`], [`DependencyStore::set`] and
+//! [`DependencyStore::restore_history`] — takes that sizer and adjusts
+//! both counters for exactly the values it touches (an overwrite
+//! subtracts the value it replaces, which matters for capacity-sized
+//! heap aggregations). [`DependencyStore::footprint`] and
+//! [`DependencyStore::stored_entries`] are therefore O(1) reads; the
+//! engine passes `agg_total_bytes` at every call, so the counters equal a
+//! full walk with that sizer ([`DependencyStore::walk_footprint`], kept
+//! only as the test oracle).
 
 /// One vertex's aggregation history.
 #[derive(Debug, Clone)]
@@ -35,6 +51,13 @@ struct History<A> {
     /// history at all (added after the initial run), whose untouched
     /// iterations read as "no aggregation".
     tail: Option<Option<A>>,
+}
+
+impl<A> History<A> {
+    /// Every value physically held: the prefix, then a frozen tail.
+    fn values(&self) -> impl Iterator<Item = &A> {
+        self.prefix.iter().chain(self.tail.iter().flatten())
+    }
 }
 
 impl<A> Default for History<A> {
@@ -60,6 +83,11 @@ pub struct DependencyStore<A> {
     vertical_pruning: bool,
     /// Number of tracked iterations so far (`min(L, cutoff)`).
     tracked_iterations: usize,
+    /// Aggregation values physically stored (prefix entries plus frozen
+    /// `Some(Some(_))` tails).
+    entries: usize,
+    /// Sum of the per-entry sizer over every stored value.
+    entry_bytes: usize,
 }
 
 impl<A: Clone + PartialEq> DependencyStore<A> {
@@ -71,6 +99,8 @@ impl<A: Clone + PartialEq> DependencyStore<A> {
             cutoff,
             vertical_pruning,
             tracked_iterations: 0,
+            entries: 0,
+            entry_bytes: 0,
         }
     }
 
@@ -102,8 +132,9 @@ impl<A: Clone + PartialEq> DependencyStore<A> {
     /// Must be called with non-decreasing `iter` per vertex. With vertical
     /// pruning, a value equal to the last stored one is skipped; without
     /// it, the prefix is padded so every iteration is materialized.
-    /// Iterations past the horizontal cut-off are ignored.
-    pub fn record(&mut self, v: usize, iter: usize, agg: &A) {
+    /// Iterations past the horizontal cut-off are ignored. `size` is the
+    /// per-entry sizer of the footprint counters (see the module docs).
+    pub fn record(&mut self, v: usize, iter: usize, agg: &A, size: impl Fn(&A) -> usize) {
         debug_assert!(iter >= 1);
         if iter > self.cutoff {
             return;
@@ -126,12 +157,18 @@ impl<A: Clone + PartialEq> DependencyStore<A> {
                 // whenever a later iteration records; an empty prefix
                 // here is engine corruption, not an input condition.
                 .expect("record() skipped iteration 1");
+            self.entries += 1;
+            self.entry_bytes += size(&fill);
             h.prefix.push(fill);
         }
+        let value = agg.clone();
+        self.entry_bytes += size(&value);
         if h.prefix.len() >= iter {
-            h.prefix[iter - 1] = agg.clone();
+            let old = std::mem::replace(&mut h.prefix[iter - 1], value);
+            self.entry_bytes -= size(&old);
         } else {
-            h.prefix.push(agg.clone());
+            self.entries += 1;
+            h.prefix.push(value);
         }
     }
 
@@ -159,12 +196,14 @@ impl<A: Clone + PartialEq> DependencyStore<A> {
     /// Extending past the materialized prefix freezes the stabilized tail
     /// first (see the module docs) and fills any holes with it, so
     /// untouched iterations keep reading the previous trajectory's value.
+    /// `size` is the per-entry sizer of the footprint counters; the value
+    /// an in-place write replaces is subtracted with it.
     ///
     /// # Panics
     ///
     /// Panics when writing past the horizontal cut-off — refinement never
     /// touches untracked iterations by construction.
-    pub fn set(&mut self, v: usize, iter: usize, agg: A) {
+    pub fn set(&mut self, v: usize, iter: usize, agg: A, size: impl Fn(&A) -> usize) {
         // lint:allow(panic-reachability) — documented `# Panics`
         // contract: refinement derives every write target from the
         // tracked range (impacted sets are intersected with 1..=cutoff),
@@ -180,10 +219,17 @@ impl<A: Clone + PartialEq> DependencyStore<A> {
         // any overwrite (even in place) may destroy the prefix's last
         // element, which until now doubled as the beyond-prefix value.
         if h.tail.is_none() {
-            h.tail = Some(h.prefix.last().cloned());
+            let frozen = h.prefix.last().cloned();
+            if let Some(t) = &frozen {
+                self.entries += 1;
+                self.entry_bytes += size(t);
+            }
+            h.tail = Some(frozen);
         }
+        self.entry_bytes += size(&agg);
         if iter <= h.prefix.len() {
-            h.prefix[iter - 1] = agg;
+            let old = std::mem::replace(&mut h.prefix[iter - 1], agg);
+            self.entry_bytes -= size(&old);
             return;
         }
         // Holes can only arise for vertices with pre-existing history
@@ -191,8 +237,12 @@ impl<A: Clone + PartialEq> DependencyStore<A> {
         // fill them with the frozen untouched-trajectory value.
         let fill = h.tail.clone().flatten().unwrap_or_else(|| agg.clone());
         while h.prefix.len() + 1 < iter {
-            h.prefix.push(fill.clone());
+            let hole = fill.clone();
+            self.entries += 1;
+            self.entry_bytes += size(&hole);
+            h.prefix.push(hole);
         }
+        self.entries += 1;
         h.prefix.push(agg);
     }
 
@@ -212,10 +262,26 @@ impl<A: Clone + PartialEq> DependencyStore<A> {
 
     /// Restores one vertex's history verbatim (checkpoint loading):
     /// neither pruning nor tail-freezing logic applies — the caller is
-    /// replaying state captured from another store.
-    pub fn restore_history(&mut self, v: usize, prefix: Vec<A>, tail: Option<Option<A>>) {
+    /// replaying state captured from another store. `size` is the
+    /// per-entry sizer of the footprint counters.
+    pub fn restore_history(
+        &mut self,
+        v: usize,
+        prefix: Vec<A>,
+        tail: Option<Option<A>>,
+        size: impl Fn(&A) -> usize,
+    ) {
         debug_assert!(prefix.len() <= self.cutoff);
-        self.histories[v] = History { prefix, tail };
+        let new = History { prefix, tail };
+        for a in new.values() {
+            self.entries += 1;
+            self.entry_bytes += size(a);
+        }
+        let old = std::mem::replace(&mut self.histories[v], new);
+        for a in old.values() {
+            self.entries -= 1;
+            self.entry_bytes -= size(a);
+        }
     }
 
     /// Overrides the tracked-iteration counter (checkpoint loading —
@@ -225,24 +291,33 @@ impl<A: Clone + PartialEq> DependencyStore<A> {
         self.tracked_iterations = tracked;
     }
 
-    /// Total number of aggregation values physically stored.
+    /// Total number of aggregation values physically stored. O(1).
     pub fn stored_entries(&self) -> usize {
-        self.histories
-            .iter()
-            .map(|h| h.prefix.len() + usize::from(matches!(&h.tail, Some(Some(_)))))
-            .sum()
+        self.entries
     }
 
-    /// Estimated heap footprint given a per-entry byte cost function,
-    /// paired with [`DependencyStore::stored_entries`] — both from one
-    /// walk over the histories.
-    pub fn footprint(&self, entry_bytes: impl Fn(&A) -> usize) -> (usize, usize) {
-        let spine = self.histories.capacity() * std::mem::size_of::<History<A>>();
+    /// Estimated heap footprint in bytes — the history spine plus the
+    /// sizer sum over every stored value — paired with
+    /// [`DependencyStore::stored_entries`]. O(1): both are counters kept
+    /// by the writing methods.
+    pub fn footprint(&self) -> (usize, usize) {
+        (self.spine_bytes() + self.entry_bytes, self.entries)
+    }
+
+    fn spine_bytes(&self) -> usize {
+        self.histories.capacity() * std::mem::size_of::<History<A>>()
+    }
+
+    /// [`DependencyStore::footprint`] recomputed by walking every
+    /// history with `size` — O(stored values). The test oracle for the
+    /// incremental counters; nothing on the serving path calls it.
+    #[doc(hidden)]
+    pub fn walk_footprint(&self, size: impl Fn(&A) -> usize) -> (usize, usize) {
         self.histories
             .iter()
-            .flat_map(|h| h.prefix.iter().chain(h.tail.iter().flatten()))
-            .fold((spine, 0), |(bytes, entries), a| {
-                (bytes + entry_bytes(a), entries + 1)
+            .flat_map(History::values)
+            .fold((self.spine_bytes(), 0), |(bytes, entries), a| {
+                (bytes + size(a), entries + 1)
             })
     }
 }
@@ -251,11 +326,15 @@ impl<A: Clone + PartialEq> DependencyStore<A> {
 mod tests {
     use super::*;
 
+    fn size(_: &f64) -> usize {
+        8
+    }
+
     #[test]
     fn record_and_get_round_trip() {
         let mut s: DependencyStore<f64> = DependencyStore::new(2, 10, true);
-        s.record(0, 1, &1.0);
-        s.record(0, 2, &2.0);
+        s.record(0, 1, &1.0, size);
+        s.record(0, 2, &2.0, size);
         assert_eq!(s.get(0, 1), Some(&1.0));
         assert_eq!(s.get(0, 2), Some(&2.0));
         assert_eq!(s.tracked_iterations(), 2);
@@ -264,9 +343,9 @@ mod tests {
     #[test]
     fn vertical_pruning_skips_stable_values() {
         let mut s: DependencyStore<f64> = DependencyStore::new(1, 10, true);
-        s.record(0, 1, &5.0);
-        s.record(0, 2, &5.0); // pruned
-        s.record(0, 3, &5.0); // pruned
+        s.record(0, 1, &5.0, size);
+        s.record(0, 2, &5.0, size); // pruned
+        s.record(0, 3, &5.0, size); // pruned
         assert_eq!(s.stored_len(0), 1);
         // Reads past the prefix return the stabilized value.
         assert_eq!(s.get(0, 3), Some(&5.0));
@@ -276,9 +355,9 @@ mod tests {
     #[test]
     fn vertical_pruning_materializes_holes_on_change() {
         let mut s: DependencyStore<f64> = DependencyStore::new(1, 10, true);
-        s.record(0, 1, &5.0);
-        s.record(0, 2, &5.0); // pruned
-        s.record(0, 3, &6.0); // forces materialization of iteration 2
+        s.record(0, 1, &5.0, size);
+        s.record(0, 2, &5.0, size); // pruned
+        s.record(0, 3, &6.0, size); // forces materialization of iteration 2
         assert_eq!(s.stored_len(0), 3);
         assert_eq!(s.get(0, 2), Some(&5.0));
         assert_eq!(s.get(0, 3), Some(&6.0));
@@ -287,17 +366,17 @@ mod tests {
     #[test]
     fn no_vertical_pruning_stores_everything() {
         let mut s: DependencyStore<f64> = DependencyStore::new(1, 10, false);
-        s.record(0, 1, &5.0);
-        s.record(0, 2, &5.0);
+        s.record(0, 1, &5.0, size);
+        s.record(0, 2, &5.0, size);
         assert_eq!(s.stored_len(0), 2);
     }
 
     #[test]
     fn horizontal_cutoff_discards_late_iterations() {
         let mut s: DependencyStore<f64> = DependencyStore::new(1, 2, true);
-        s.record(0, 1, &1.0);
-        s.record(0, 2, &2.0);
-        s.record(0, 3, &3.0); // beyond cut-off, ignored
+        s.record(0, 1, &1.0, size);
+        s.record(0, 2, &2.0, size);
+        s.record(0, 3, &3.0, size); // beyond cut-off, ignored
         assert_eq!(s.get(0, 2), Some(&2.0));
         assert_eq!(s.get(0, 3), None);
         assert_eq!(s.tracked_iterations(), 2);
@@ -306,9 +385,9 @@ mod tests {
     #[test]
     fn set_freezes_stabilized_tail() {
         let mut s: DependencyStore<f64> = DependencyStore::new(1, 10, true);
-        s.record(0, 1, &1.0);
-        s.record(0, 5, &1.0); // pruned: prefix still length 1
-        s.set(0, 4, 9.0);
+        s.record(0, 1, &1.0, size);
+        s.record(0, 5, &1.0, size); // pruned: prefix still length 1
+        s.set(0, 4, 9.0, size);
         // Holes filled with the stabilized value.
         assert_eq!(s.get(0, 2), Some(&1.0));
         assert_eq!(s.get(0, 3), Some(&1.0));
@@ -322,9 +401,9 @@ mod tests {
     #[test]
     fn set_within_prefix_overwrites_in_place() {
         let mut s: DependencyStore<f64> = DependencyStore::new(1, 10, true);
-        s.record(0, 1, &1.0);
-        s.record(0, 2, &2.0);
-        s.set(0, 1, 7.0);
+        s.record(0, 1, &1.0, size);
+        s.record(0, 2, &2.0, size);
+        s.set(0, 1, 7.0, size);
         assert_eq!(s.get(0, 1), Some(&7.0));
         assert_eq!(s.get(0, 2), Some(&2.0));
         // No tail frozen: prefix was not extended.
@@ -334,9 +413,9 @@ mod tests {
     #[test]
     fn tail_survives_multiple_extensions() {
         let mut s: DependencyStore<f64> = DependencyStore::new(1, 10, true);
-        s.record(0, 1, &1.0);
-        s.set(0, 3, 9.0); // freeze tail = 1.0, fill hole at 2
-        s.set(0, 5, 8.0); // fill hole at 4 with the tail (1.0)
+        s.record(0, 1, &1.0, size);
+        s.set(0, 3, 9.0, size); // freeze tail = 1.0, fill hole at 2
+        s.set(0, 5, 8.0, size); // fill hole at 4 with the tail (1.0)
         assert_eq!(s.get(0, 2), Some(&1.0));
         assert_eq!(s.get(0, 4), Some(&1.0));
         assert_eq!(s.get(0, 5), Some(&8.0));
@@ -355,7 +434,7 @@ mod tests {
         s.grow(5);
         assert_eq!(s.num_vertices(), 5);
         assert_eq!(s.get(4, 1), None);
-        s.set(4, 1, 7.0);
+        s.set(4, 1, 7.0, size);
         assert_eq!(s.get(4, 1), Some(&7.0));
     }
 
@@ -363,18 +442,58 @@ mod tests {
     #[should_panic(expected = "outside tracked range")]
     fn set_past_cutoff_panics() {
         let mut s: DependencyStore<f64> = DependencyStore::new(1, 2, true);
-        s.set(0, 3, 1.0);
+        s.set(0, 3, 1.0, size);
     }
 
     #[test]
     fn memory_accounting_counts_entries() {
         let mut s: DependencyStore<f64> = DependencyStore::new(2, 10, true);
-        s.record(0, 1, &1.0);
-        s.record(1, 1, &2.0);
-        s.record(1, 2, &3.0);
+        s.record(0, 1, &1.0, size);
+        s.record(1, 1, &2.0, size);
+        s.record(1, 2, &3.0, size);
         assert_eq!(s.stored_entries(), 3);
-        let (bytes, entries) = s.footprint(|_| 8);
+        let (bytes, entries) = s.footprint();
         assert!(bytes >= 24);
         assert_eq!(entries, 3);
+    }
+
+    /// Heap-owning aggregation whose size is its capacity, as LP's
+    /// `Vec<f64>` aggregations are sized.
+    fn vec_size(a: &Vec<f64>) -> usize {
+        std::mem::size_of::<Vec<f64>>() + a.capacity() * 8
+    }
+
+    fn assert_counters_match_walk(s: &DependencyStore<Vec<f64>>) {
+        assert_eq!(s.footprint(), s.walk_footprint(vec_size));
+    }
+
+    #[test]
+    fn footprint_counters_track_every_write() {
+        let mut s: DependencyStore<Vec<f64>> = DependencyStore::new(3, 6, true);
+        let wide = |len: usize, cap: usize| {
+            let mut v = Vec::with_capacity(cap);
+            v.resize(len, 1.0);
+            v
+        };
+        s.record(0, 1, &vec![1.0], vec_size);
+        s.record(1, 1, &vec![1.0, 2.0], vec_size);
+        s.record(1, 2, &vec![1.0, 2.0], vec_size); // pruned
+        s.record(1, 4, &vec![3.0], vec_size); // materializes holes
+        assert_counters_match_walk(&s);
+        // Tail freeze, in-place overwrite with a larger capacity, hole
+        // fill past the prefix, and a fresh vertex.
+        s.set(0, 1, wide(1, 64), vec_size);
+        assert_counters_match_walk(&s);
+        s.set(0, 4, wide(2, 2), vec_size);
+        s.set(1, 2, wide(1, 1), vec_size);
+        s.set(2, 1, wide(3, 16), vec_size);
+        assert_counters_match_walk(&s);
+        // Restoring replaces the old history's values.
+        s.restore_history(1, vec![wide(1, 8)], Some(Some(vec![0.0])), vec_size);
+        s.restore_history(2, Vec::new(), Some(None), vec_size);
+        assert_counters_match_walk(&s);
+        s.grow(10);
+        assert_counters_match_walk(&s);
+        assert_eq!(s.stored_entries(), s.walk_footprint(vec_size).1);
     }
 }

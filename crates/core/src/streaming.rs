@@ -5,10 +5,10 @@ use std::time::Instant;
 
 use graphbolt_graph::{GraphSnapshot, MutationBatch, MutationError};
 
-use crate::algorithm::{agg_total_bytes, Algorithm};
+use crate::algorithm::Algorithm;
 use crate::bsp::{run_bsp, run_tracking, BspState};
 use crate::options::{EngineOptions, ExecutionMode};
-use crate::refine::{refine, RefineState};
+use crate::refine::{refine, RefineScratch, RefineState};
 use crate::stats::{EngineStats, RefineReport, StatsSnapshot};
 use crate::store::DependencyStore;
 use crate::telemetry::{self, trace, TraceEvent};
@@ -111,6 +111,27 @@ struct TrackedState<A: Algorithm> {
     vals_at_cutoff: Vec<A::Value>,
     changed_at_cutoff: Vec<bool>,
     store: DependencyStore<A::Agg>,
+    /// Refinement working memory, reused by every batch. Every rebuild
+    /// of the tracked state starts a fresh one, so a batch that panicked
+    /// mid-refinement cannot leak its half-filled scratch.
+    scratch: RefineScratch<A>,
+}
+
+impl<A: Algorithm> TrackedState<A> {
+    fn new(
+        vals: Vec<A::Value>,
+        vals_at_cutoff: Vec<A::Value>,
+        changed_at_cutoff: Vec<bool>,
+        store: DependencyStore<A::Agg>,
+    ) -> Self {
+        Self {
+            vals,
+            vals_at_cutoff,
+            changed_at_cutoff,
+            store,
+            scratch: RefineScratch::default(),
+        }
+    }
 }
 
 impl<A: Algorithm> StreamingEngine<A> {
@@ -169,12 +190,12 @@ impl<A: Algorithm> StreamingEngine<A> {
     fn rebuild_tracked(&mut self) {
         let outcome = run_tracking(&self.alg, &self.graph, &self.opts, &self.stats);
         let BspState { vals, .. } = outcome.state;
-        self.state = Some(TrackedState {
+        self.state = Some(TrackedState::new(
             vals,
-            vals_at_cutoff: outcome.vals_at_cutoff,
-            changed_at_cutoff: outcome.changed_at_cutoff,
-            store: outcome.store,
-        });
+            outcome.vals_at_cutoff,
+            outcome.changed_at_cutoff,
+            outcome.store,
+        ));
     }
 
     /// From-scratch full recompute on the current snapshot; the store is
@@ -189,12 +210,12 @@ impl<A: Algorithm> StreamingEngine<A> {
             &self.stats,
         );
         let n = self.graph.num_vertices();
-        self.state = Some(TrackedState {
-            vals_at_cutoff: bsp.vals.clone(),
-            vals: bsp.vals,
-            changed_at_cutoff: vec![false; n],
-            store: DependencyStore::new(n, 0, self.opts.vertical_pruning),
-        });
+        self.state = Some(TrackedState::new(
+            bsp.vals.clone(),
+            bsp.vals,
+            vec![false; n],
+            DependencyStore::new(n, 0, self.opts.vertical_pruning),
+        ));
     }
 
     /// Current degradation level of the memory-budget watchdog.
@@ -367,6 +388,7 @@ impl<A: Algorithm> StreamingEngine<A> {
                 vals: &mut state.vals,
                 vals_at_cutoff: &mut state.vals_at_cutoff,
                 changed_at_cutoff: &mut state.changed_at_cutoff,
+                scratch: &mut state.scratch,
             },
             &self.opts,
             &self.stats,
@@ -434,7 +456,7 @@ impl<A: Algorithm> StreamingEngine<A> {
 
     /// Publishes a work-counter delta plus the current footprint gauges,
     /// returning the store's byte footprint so the caller can publish it
-    /// again without another walk over the store.
+    /// again.
     fn publish_work_telemetry(&self, spent: StatsSnapshot) -> usize {
         let m = telemetry::metrics();
         m.edge_computations.add(spent.edge_computations);
@@ -450,23 +472,23 @@ impl<A: Algorithm> StreamingEngine<A> {
         bytes
     }
 
-    /// `(dependency_memory_bytes, stored_aggregations)` from one walk
-    /// over the store.
+    /// `(dependency_memory_bytes, stored_aggregations)`, O(1) from the
+    /// store's incremental counters.
     fn store_footprint(&self) -> (usize, usize) {
-        self.state.as_ref().map_or((0, 0), |s| {
-            s.store.footprint(|a| agg_total_bytes(&self.alg, a))
-        })
+        self.state.as_ref().map_or((0, 0), |s| s.store.footprint())
     }
 
     /// Estimated bytes of dependency information currently tracked — the
     /// *memory overhead* of GraphBolt relative to GB-Reset (Table 9).
+    /// O(1). Refinement's reused working memory is not counted.
     pub fn dependency_memory_bytes(&self) -> usize {
         self.store_footprint().0
     }
 
     /// Number of aggregation values physically stored (post-pruning).
+    /// O(1).
     pub fn stored_aggregations(&self) -> usize {
-        self.state.as_ref().map_or(0, |s| s.store.stored_entries())
+        self.store_footprint().1
     }
 
     /// Read-only access to the dependency store (inspection / tests).
@@ -549,12 +571,12 @@ impl<A: Algorithm> StreamingEngine<A> {
             graph: Arc::new(graph),
             opts,
             stats: EngineStats::new(),
-            state: Some(TrackedState {
+            state: Some(TrackedState::new(
                 vals,
                 vals_at_cutoff,
                 changed_at_cutoff,
                 store,
-            }),
+            )),
             degrade: DegradeLevel::None,
         };
         engine.enforce_memory_budget();
@@ -1022,6 +1044,166 @@ mod tests {
                     "seed {} vertex {}: refined {} vs scratch {}", seed, v, a, b
                 );
             }
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts two tracked states are bitwise equal: values, cut-off
+    /// values and bits, and every store entry (prefix, frozen tail and
+    /// every readable iteration).
+    fn assert_bitwise_equal<Alg: Algorithm<Value = f64, Agg = f64>>(
+        got: &TrackedState<Alg>,
+        want: &TrackedState<Alg>,
+        ctx: &str,
+    ) {
+        assert_eq!(bits(&got.vals), bits(&want.vals), "{ctx}: vals");
+        assert_eq!(
+            bits(&got.vals_at_cutoff),
+            bits(&want.vals_at_cutoff),
+            "{ctx}: vals_at_cutoff"
+        );
+        assert_eq!(
+            got.changed_at_cutoff, want.changed_at_cutoff,
+            "{ctx}: changed_at_cutoff"
+        );
+        let (a, b) = (&got.store, &want.store);
+        assert_eq!(a.num_vertices(), b.num_vertices(), "{ctx}: store size");
+        assert_eq!(
+            a.tracked_iterations(),
+            b.tracked_iterations(),
+            "{ctx}: tracked"
+        );
+        assert_eq!(
+            a.stored_entries(),
+            b.stored_entries(),
+            "{ctx}: stored entries"
+        );
+        let tail_bits = |t: Option<Option<&f64>>| t.map(|t| t.map(|x| x.to_bits()));
+        for v in 0..a.num_vertices() {
+            assert_eq!(a.stored_len(v), b.stored_len(v), "{ctx}: stored_len({v})");
+            assert_eq!(
+                tail_bits(a.frozen_tail(v)),
+                tail_bits(b.frozen_tail(v)),
+                "{ctx}: tail({v})"
+            );
+            for i in 1..=a.cutoff() {
+                assert_eq!(
+                    a.get(v, i).map(|x| x.to_bits()),
+                    b.get(v, i).map(|x| x.to_bits()),
+                    "{ctx}: g_{i}({v})"
+                );
+            }
+        }
+    }
+
+    /// Differential oracle for the reused refinement scratch: drives one
+    /// engine through a random batch sequence and, for every batch, runs
+    /// the public `refine` with a fresh `RefineScratch` on a clone of the
+    /// engine's state. Batches delete and add edges (structural sources
+    /// for `TestRank`), grow the vertex space past the scratch's current
+    /// size, and one in four is followed by a batch that fails with a
+    /// `MutationError`.
+    fn reused_scratch_matches_fresh<Alg>(alg: Alg, seed: u64)
+    where
+        Alg: Algorithm<Value = f64, Agg = f64> + Clone,
+    {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range(4..16usize);
+        let mut edges = Vec::new();
+        for u in 0..n {
+            for v in 0..n {
+                if u != v && rng.gen_bool(0.25) {
+                    edges.push(Edge::new(u as u32, v as u32, rng.gen_range(0.1..1.0)));
+                }
+            }
+        }
+        let iters = rng.gen_range(2..8usize);
+        let cutoff = rng.gen_range(1..=iters);
+        let opts = EngineOptions::with_iterations(iters).cutoff(cutoff);
+        let mut engine =
+            StreamingEngine::new(GraphSnapshot::from_edges(n, &edges), alg.clone(), opts);
+        engine.run_initial();
+        for step in 0..10 {
+            let g = engine.graph();
+            let cur_n = g.num_vertices() as u32;
+            let mut batch = MutationBatch::new();
+            for _ in 0..rng.gen_range(1..6) {
+                let u = rng.gen_range(0..cur_n);
+                let v = rng.gen_range(0..cur_n);
+                if u == v {
+                    continue;
+                }
+                if g.has_edge(u, v) {
+                    batch.delete(Edge::unweighted(u, v));
+                } else {
+                    batch.add(Edge::new(u, v, rng.gen_range(0.1..1.0)));
+                }
+            }
+            if rng.gen_bool(0.3) {
+                let fresh = cur_n + rng.gen_range(0..3u32);
+                batch.add(Edge::new(rng.gen_range(0..cur_n), fresh, 0.5));
+                batch.add(Edge::new(fresh, rng.gen_range(0..cur_n), 0.5));
+            }
+            let mut batch = batch.normalize_against(g);
+            if step % 4 == 3 {
+                // A deletion of an absent edge: the whole batch fails.
+                let u = rng.gen_range(0..cur_n);
+                if let Some(v) = (0..cur_n).find(|&v| v != u && !g.has_edge(u, v)) {
+                    batch.delete(Edge::unweighted(u, v));
+                }
+            }
+
+            let old_g = Arc::clone(&engine.graph);
+            let fresh = old_g.apply(&batch).ok().map(|new_g| {
+                let s = engine.state.as_ref().unwrap();
+                let mut r = TrackedState::new(
+                    s.vals.clone(),
+                    s.vals_at_cutoff.clone(),
+                    s.changed_at_cutoff.clone(),
+                    s.store.clone(),
+                );
+                refine(
+                    &alg,
+                    &old_g,
+                    &new_g,
+                    &batch,
+                    RefineState {
+                        store: &mut r.store,
+                        vals: &mut r.vals,
+                        vals_at_cutoff: &mut r.vals_at_cutoff,
+                        changed_at_cutoff: &mut r.changed_at_cutoff,
+                        scratch: &mut RefineScratch::default(),
+                    },
+                    engine.options(),
+                    &EngineStats::new(),
+                );
+                r
+            });
+            let ctx = format!("seed {seed} step {step}");
+            match (engine.apply_batch(&batch), fresh) {
+                (Ok(_), Some(want)) => {
+                    assert_bitwise_equal(engine.state.as_ref().unwrap(), &want, &ctx);
+                }
+                (Err(_), None) => {}
+                (got, want) => panic!("{ctx}: engine {got:?}, fresh ran: {}", want.is_some()),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        #[test]
+        fn reused_scratch_matches_fresh_decomposable(seed in 0u64..10_000) {
+            reused_scratch_matches_fresh(TestRank, seed);
+        }
+
+        #[test]
+        fn reused_scratch_matches_fresh_non_decomposable(seed in 0u64..10_000) {
+            reused_scratch_matches_fresh(TestMinPlus, seed);
         }
     }
 

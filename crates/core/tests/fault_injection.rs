@@ -1,9 +1,13 @@
 //! Fault-injection acceptance suite (`--features fault-injection`).
 //!
-//! Each test arms a distinct probe site, so the process-global registry
-//! never races across the parallel test harness:
+//! Each test arms a distinct probe site. The registry is process-global
+//! and every probe fires for every engine and front door in the process,
+//! so the arming tests run one at a time under [`serial`]:
 //!
-//! * `refine::start`     — panic mid-refinement → quarantine + recovery
+//! * `refine::start`     — panic before refinement → quarantine + recovery
+//! * `refine::iteration` — panic after an iteration's apply, with the
+//!   store partly written and the reused scratch half-filled →
+//!   quarantine, rebuild, later batches equal a from-scratch run
 //! * `checkpoint::write` — torn checkpoint → recovery skips to the
 //!   previous good file
 //! * `session::ingest`   — injected submission rejection
@@ -19,7 +23,7 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use graphbolt_core::doctest_support::DocRank;
 use graphbolt_core::checkpoint::{
@@ -32,7 +36,14 @@ use graphbolt_core::{
     StreamingEngine,
 };
 use bytes::Bytes;
-use graphbolt_graph::{Edge, GraphBuilder};
+use graphbolt_graph::{Edge, GraphBuilder, MutationBatch};
+
+/// Serializes the tests that arm a probe: a plan armed by one test would
+/// otherwise fire in whichever test's traffic reaches the site first.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn engine() -> StreamingEngine<DocRank> {
     let g = GraphBuilder::new(6)
@@ -64,6 +75,7 @@ fn scratch_values(engine: &StreamingEngine<DocRank>) -> Vec<f64> {
 /// returns exactly the from-scratch result on the last good snapshot.
 #[test]
 fn injected_refine_panic_is_quarantined_and_session_keeps_serving() {
+    let _serial = serial();
     let session = StreamSession::spawn(engine());
 
     arm("refine::start", FaultAction::Panic, 1);
@@ -117,11 +129,77 @@ fn injected_refine_panic_is_quarantined_and_session_keeps_serving() {
     }
 }
 
+/// A panic in the middle of refinement — after iteration 1's apply, when
+/// the store holds that iteration's writes and the engine's reused
+/// refinement scratch is half-filled — is quarantined like any other.
+/// The rebuild starts a fresh scratch, so every later batch's answers
+/// equal a from-scratch run on the served mutations.
+#[test]
+fn injected_mid_iteration_panic_rebuilds_and_later_batches_match_scratch() {
+    let _serial = serial();
+    let session = StreamSession::spawn(engine());
+    let mut served_graph = engine().graph().clone();
+    let mut serve = |e: Edge| {
+        session.add(e).unwrap();
+        let served = session.query().unwrap();
+        let mut batch = MutationBatch::new();
+        batch.add(e);
+        served_graph = served_graph.apply(&batch).unwrap();
+        let expect = run_bsp(
+            &DocRank,
+            &served_graph,
+            &EngineOptions::with_iterations(8),
+            ExecutionMode::Full,
+            &EngineStats::new(),
+        )
+        .vals;
+        assert_eq!(served.len(), expect.len());
+        for (v, (a, b)) in served.iter().zip(&expect).enumerate() {
+            assert!(
+                (a - b).abs() < 1e-9,
+                "vertex {v}: served {a}, from scratch {b}"
+            );
+        }
+    };
+    // One clean batch first, so the scratch is grown and reused.
+    serve(Edge::new(0, 2, 1.0));
+
+    arm("refine::iteration", FaultAction::Panic, 1);
+    session.add(Edge::new(0, 3, 1.0)).unwrap();
+    session.flush().unwrap();
+
+    for e in [
+        Edge::new(1, 4, 1.0),
+        Edge::new(2, 5, 1.0),
+        Edge::new(3, 0, 1.0),
+    ] {
+        serve(e);
+    }
+
+    let outcome = session.finish().unwrap();
+    assert_eq!(outcome.stats.panics_recovered, 1);
+    assert_eq!(outcome.stats.batches_quarantined, 1);
+    assert_eq!(outcome.stats.mutations_applied, 4);
+    assert_eq!(outcome.dead_letters.len(), 1);
+    assert!(
+        outcome.dead_letters[0]
+            .reason
+            .contains("injected fault at refine::iteration"),
+        "dead letter records the mid-iteration panic, got: {}",
+        outcome.dead_letters[0].reason
+    );
+    assert!(
+        !outcome.engine.graph().has_edge(0, 3),
+        "quarantined batch not applied"
+    );
+}
+
 /// Acceptance scenario 2: a truncated (torn) checkpoint write is detected
 /// at recovery time and the session resumes from the previous good
 /// checkpoint.
 #[test]
 fn truncated_checkpoint_is_skipped_in_favour_of_previous_good_one() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join("graphbolt-fault-trunc");
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -172,6 +250,7 @@ fn truncated_checkpoint_is_skipped_in_favour_of_previous_good_one() {
 /// leaves the session usable.
 #[test]
 fn injected_ingest_error_rejects_one_submission() {
+    let _serial = serial();
     let session = StreamSession::spawn(engine());
     arm("session::ingest", FaultAction::Error, 1);
     assert_eq!(
@@ -253,6 +332,7 @@ fn finish_and_check(
 /// sees the mutation nor corrupts later traffic.
 #[test]
 fn injected_accept_fault_drops_the_connection_only() {
+    let _serial = serial();
     let (door, session, _ctl) = front_door();
     let addr = door.local_addr();
 
@@ -276,6 +356,7 @@ fn injected_accept_fault_drops_the_connection_only() {
 /// 400. The mutation it carried must not reach the session.
 #[test]
 fn injected_parse_fault_rejects_without_mutating() {
+    let _serial = serial();
     let (door, session, _ctl) = front_door();
     let addr = door.local_addr();
 
@@ -297,6 +378,7 @@ fn injected_parse_fault_rejects_without_mutating() {
 /// records the shed and the session stays pristine.
 #[test]
 fn injected_admission_fault_sheds_with_retry_after() {
+    let _serial = serial();
     let (door, session, ctl) = front_door();
     let addr = door.local_addr();
 
@@ -327,6 +409,7 @@ fn injected_admission_fault_sheds_with_retry_after() {
 /// the final state equals from-scratch on the served mutations only.
 #[test]
 fn injected_deadline_expiry_sheds_the_queued_mutation() {
+    let _serial = serial();
     let session = StreamSession::spawn(engine());
 
     arm("session::deadline", FaultAction::Error, 1);
